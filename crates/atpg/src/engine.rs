@@ -23,7 +23,9 @@
 
 use scap_dft::TestPattern;
 use scap_netlist::{CellKind, ClockId, Logic, NetId, NetSource, Netlist};
-use scap_sim::{loc, FaultSite, LaunchMode, LevelQueue, LogicSim, SimTable, TransitionFault};
+use scap_sim::{
+    FaultSite, LaunchMode, LaunchModel, LevelQueue, SimTable, State2Src, TransitionFault,
+};
 
 /// Outcome of one PODEM run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,115 +52,6 @@ enum Frame {
 enum Var {
     Load(u32),
     Pi(u32),
-}
-
-/// Where a flop's frame-2 (launch) state comes from, precomputed per
-/// launch mode so the incremental resync never re-derives chain order.
-///
-/// Shared with the SAT engine (`sat_engine`), whose CNF encoding must
-/// alias frame-2 flop variables to exactly the same sources the PODEM
-/// planes read — the two engines agree on two-frame semantics by
-/// construction, not by parallel reimplementation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum State2Src {
-    /// Launch-off-capture, active domain: captures frame 1's D value.
-    FromD(NetId),
-    /// Holds its own scan-load value (inactive domain / unstitched).
-    Hold,
-    /// Launch-off-shift: takes the upstream scan cell's load.
-    LoadOf(u32),
-    /// Launch-off-shift chain head: the constant scan-in (0).
-    ScanIn,
-}
-
-/// Observation points of one clock domain: the D nets of its capture
-/// flops.
-pub(crate) fn observation_points(netlist: &Netlist, active_clock: ClockId) -> Vec<NetId> {
-    netlist
-        .flops()
-        .iter()
-        .filter(|f| f.clock == active_clock)
-        .map(|f| f.d)
-        .collect()
-}
-
-/// Per-net "can structurally reach an observation point" mask (backward
-/// reachability over gate inputs). Faults whose effect net falls outside
-/// the mask are untestable without any search.
-pub(crate) fn observable_mask(netlist: &Netlist, observed: &[NetId]) -> Vec<bool> {
-    let mut observable = vec![false; netlist.num_nets()];
-    for n in observed {
-        observable[n.index()] = true;
-    }
-    let mut work: Vec<u32> = observed.iter().map(|n| n.raw()).collect();
-    while let Some(ni) = work.pop() {
-        if let Some(NetSource::Gate(g)) = netlist.net(NetId::new(ni)).source {
-            for &inp in &netlist.gate(g).inputs {
-                if !observable[inp.index()] {
-                    observable[inp.index()] = true;
-                    work.push(inp.raw());
-                }
-            }
-        }
-    }
-    observable
-}
-
-/// The upstream scan cell feeding each flop at the launch shift (`None`
-/// at chain heads / unstitched flops), for launch-off-shift.
-pub(crate) fn scan_upstream(netlist: &Netlist) -> Vec<Option<u32>> {
-    let mut by_chain: std::collections::HashMap<u16, Vec<(u32, u32)>> =
-        std::collections::HashMap::new();
-    for (i, f) in netlist.flops().iter().enumerate() {
-        if let Some(role) = f.scan {
-            by_chain
-                .entry(role.chain)
-                .or_default()
-                .push((role.position, i as u32));
-        }
-    }
-    let mut upstream = vec![None; netlist.num_flops()];
-    for chain in by_chain.values_mut() {
-        chain.sort_unstable();
-        for w in chain.windows(2) {
-            upstream[w[1].1 as usize] = Some(w[0].1);
-        }
-    }
-    upstream
-}
-
-/// Frame-2 state source per flop for one launch mode (see
-/// [`State2Src`]).
-pub(crate) fn state2_sources(
-    netlist: &Netlist,
-    active_clock: ClockId,
-    mode: LaunchMode,
-    upstream: &[Option<u32>],
-) -> Vec<State2Src> {
-    netlist
-        .flops()
-        .iter()
-        .enumerate()
-        .map(|(i, f)| match mode {
-            LaunchMode::Capture => {
-                if f.clock == active_clock {
-                    State2Src::FromD(f.d)
-                } else {
-                    State2Src::Hold
-                }
-            }
-            LaunchMode::Shift => {
-                if f.scan.is_some() {
-                    match upstream[i] {
-                        Some(up) => State2Src::LoadOf(up),
-                        None => State2Src::ScanIn,
-                    }
-                } else {
-                    State2Src::Hold
-                }
-            }
-        })
-        .collect()
 }
 
 /// Reusable simulation state for [`Podem::generate_with_scratch`].
@@ -314,26 +207,13 @@ fn drain_events_trail(
 /// The PODEM engine, reusable across faults.
 #[derive(Debug)]
 pub struct Podem<'a> {
-    sim: LogicSim<'a>,
-    /// Flat topology for the hot event-propagation loops.
+    netlist: &'a Netlist,
+    /// Flat topology for the hot event-propagation loops; its net levels
+    /// double as the structural depth of the backtrace heuristic.
     table: SimTable,
-    active_clock: ClockId,
-    mode: LaunchMode,
+    /// Frame-2 state sources and observation points.
+    launch: LaunchModel,
     backtrack_limit: u32,
-    /// For launch-off-shift: the upstream scan cell feeding each flop at
-    /// the launch shift (`None` at chain heads / unstitched flops).
-    upstream: Vec<Option<u32>>,
-    /// Structural depth per net (level of driving gate + 1), backtrace
-    /// heuristic.
-    depth: Vec<u32>,
-    /// Level per gate, for event scheduling.
-    gate_level: Vec<u32>,
-    /// Number of distinct gate levels.
-    num_levels: u32,
-    /// Q net per flop (raw id): the frame-1 injection point of a load bit.
-    flop_q: Vec<u32>,
-    /// Net per primary input (raw id).
-    pi_net: Vec<u32>,
     /// CSR over nets: flops whose frame-2 state is `FromD(net)`. Drives
     /// the incremental frame-2 update from frame-1 changed nets.
     d_watch_off: Vec<u32>,
@@ -346,15 +226,6 @@ pub struct Podem<'a> {
     /// Primary targets always start from it, so entry resync is a copy.
     base_frame1: Vec<Logic>,
     base_good2: Vec<Logic>,
-    /// Observation points: D nets of active-domain flops.
-    observed: Vec<NetId>,
-    /// Same, as a per-net mask for the X-path check.
-    observed_mask: Vec<bool>,
-    /// Per net: can it structurally reach an observation point? Faults
-    /// whose effect net cannot are untestable without any search.
-    observable: Vec<bool>,
-    /// Frame-2 state source per flop.
-    state2_src: Vec<State2Src>,
 }
 
 impl<'a> Podem<'a> {
@@ -371,44 +242,14 @@ impl<'a> Podem<'a> {
         mode: LaunchMode,
         backtrack_limit: u32,
     ) -> Self {
-        let sim = LogicSim::new(netlist);
-        let lv = sim.levelization();
-        let table = SimTable::build_with(netlist, lv);
-        let mut depth = vec![0u32; netlist.num_nets()];
-        let mut gate_level = vec![0u32; netlist.num_gates()];
-        let mut num_levels = 0u32;
-        for &g in lv.order() {
-            let l = lv.level(g);
-            depth[netlist.gate(g).output.index()] = l + 1;
-            gate_level[g.index()] = l;
-            num_levels = num_levels.max(l + 1);
-        }
-        let observed = observation_points(netlist, active_clock);
-        let mut observed_mask = vec![false; netlist.num_nets()];
-        for n in &observed {
-            observed_mask[n.index()] = true;
-        }
-        // Backward reachability from the observation points: a fault
-        // whose effect net is outside this set can never produce a
-        // good/faulty difference at a capture flop.
-        let observable = observable_mask(netlist, &observed);
-        // Upstream map for launch-off-shift backtracing.
-        let upstream = scan_upstream(netlist);
-        let state2_src = state2_sources(netlist, active_clock, mode, &upstream);
-        let flop_q: Vec<u32> = netlist.flops().iter().map(|f| f.q.raw()).collect();
-        let pi_net: Vec<u32> = netlist.primary_inputs().iter().map(|p| p.raw()).collect();
+        let table = SimTable::build(netlist);
+        let launch = LaunchModel::new(netlist, active_clock, mode);
         let xload = vec![Logic::X; netlist.num_flops()];
         let xpi = vec![Logic::X; netlist.primary_inputs().len()];
-        let base_frame1 = sim.eval(&xload, &xpi, None);
-        let base_state2 = match mode {
-            LaunchMode::Capture => {
-                loc::next_state_masked(netlist, &xload, &base_frame1, active_clock)
-            }
-            LaunchMode::Shift => loc::shift_state(netlist, &xload, Logic::Zero),
-        };
-        let base_good2 = sim.eval(&base_state2, &xpi, None);
+        let base = table.frames(&launch, &xload, &xpi);
         // Watch lists for the dirty resync: which flops must recompute
         // their frame-2 state when a frame-1 net / a load bit changes.
+        let state2_src = launch.sources();
         let num_flops = netlist.num_flops();
         let mut d_watch_off = vec![0u32; netlist.num_nets() + 1];
         let mut l_watch_off = vec![0u32; num_flops + 1];
@@ -448,42 +289,22 @@ impl<'a> Podem<'a> {
             }
         }
         Podem {
-            sim,
+            netlist,
             table,
-            active_clock,
-            mode,
+            launch,
             backtrack_limit,
-            upstream,
-            depth,
-            gate_level,
-            num_levels,
-            flop_q,
-            pi_net,
             d_watch_off,
             d_watch,
             l_watch_off,
             l_watch,
-            base_frame1,
-            base_good2,
-            observed,
-            observed_mask,
-            observable,
-            state2_src,
+            base_frame1: base.frame1,
+            base_good2: base.frame2,
         }
     }
 
     /// The active clock domain.
     pub fn active_clock(&self) -> ClockId {
-        self.active_clock
-    }
-
-    /// The net where the fault's effect appears (the net itself for a
-    /// stem fault, the reading gate's output for a branch fault).
-    fn effect_net(&self, fault: TransitionFault) -> usize {
-        match fault.site {
-            FaultSite::Net(n) => n.index(),
-            FaultSite::Pin { gate, .. } => self.sim.netlist().gate(gate).output.index(),
-        }
+        self.launch.active_clock()
     }
 
     /// Tries to extend `pattern` (in place) so it detects `fault`, using
@@ -508,7 +329,7 @@ impl<'a> Podem<'a> {
         pattern: &mut TestPattern,
         scratch: &mut PodemScratch,
     ) -> PodemOutcome {
-        if !self.observable[self.effect_net(fault)] {
+        if !self.launch.is_observable(self.netlist, fault) {
             // No structural path from the fault effect to a capture
             // point: the faulty plane can never differ at an observed
             // net, so the search below could only ever exhaust or
@@ -528,30 +349,25 @@ impl<'a> Podem<'a> {
     }
 
     fn owner_token(&self) -> (usize, usize, u32, LaunchMode) {
-        let netlist = self.sim.netlist();
+        let netlist = self.netlist;
         (
             netlist as *const Netlist as usize,
             netlist.num_nets(),
-            self.active_clock.raw(),
-            self.mode,
+            self.launch.active_clock().raw(),
+            self.launch.mode(),
         )
     }
 
     /// Full (re)initialisation of the scratch planes from `pattern`.
     fn rebuild(&self, pattern: &TestPattern, s: &mut PodemScratch) {
-        let netlist = self.sim.netlist();
-        s.frame1 = self.sim.eval(&pattern.load, &pattern.pi, None);
-        let state2 = match self.mode {
-            LaunchMode::Capture => {
-                loc::next_state_masked(netlist, &pattern.load, &s.frame1, self.active_clock)
-            }
-            LaunchMode::Shift => loc::shift_state(netlist, &pattern.load, Logic::Zero),
-        };
-        s.good2 = self.sim.eval(&state2, &pattern.pi, None);
+        let netlist = self.netlist;
+        let frames = self.table.frames(&self.launch, &pattern.load, &pattern.pi);
+        s.frame1 = frames.frame1;
+        s.good2 = frames.frame2;
         s.faulty2.clear();
         s.faulty2.resize(netlist.num_nets(), Logic::X);
         s.queue
-            .ensure(self.num_levels as usize, netlist.num_gates());
+            .ensure(self.table.num_levels() as usize, netlist.num_gates());
         s.cone_net.clear();
         s.cone_net.resize(netlist.num_nets(), 0);
         s.cone_gate.clear();
@@ -584,7 +400,7 @@ impl<'a> Podem<'a> {
             return;
         }
         s.queue.begin();
-        for (i, &q) in self.flop_q.iter().enumerate() {
+        for (i, &q) in t.flop_q().iter().enumerate() {
             let v = pattern.load[i];
             let q = q as usize;
             if s.frame1[q] != v {
@@ -592,7 +408,7 @@ impl<'a> Podem<'a> {
                 seed_fanout(t, &mut s.queue, q);
             }
         }
-        for (i, &p) in self.pi_net.iter().enumerate() {
+        for (i, &p) in t.pi_net().iter().enumerate() {
             let v = pattern.pi[i];
             let p = p as usize;
             if s.frame1[p] != v {
@@ -605,8 +421,9 @@ impl<'a> Podem<'a> {
         // and diff it against the good plane's Q value; primary inputs
         // are held across both frames.
         s.queue.begin();
-        for (i, &q) in self.flop_q.iter().enumerate() {
-            let nv = match self.state2_src[i] {
+        let sources = self.launch.sources();
+        for (i, &q) in t.flop_q().iter().enumerate() {
+            let nv = match sources[i] {
                 State2Src::FromD(d) => s.frame1[d.index()],
                 State2Src::Hold => pattern.load[i],
                 State2Src::LoadOf(j) => pattern.load[j as usize],
@@ -618,7 +435,7 @@ impl<'a> Podem<'a> {
                 seed_fanout(t, &mut s.queue, q);
             }
         }
-        for (i, &p) in self.pi_net.iter().enumerate() {
+        for (i, &p) in t.pi_net().iter().enumerate() {
             let v = pattern.pi[i];
             let p = p as usize;
             if s.good2[p] != v {
@@ -650,8 +467,8 @@ impl<'a> Podem<'a> {
         let m1 = s.trail.len();
         for &var in dirty {
             let (net, v) = match var {
-                Var::Load(i) => (self.flop_q[i as usize] as usize, pattern.load[i as usize]),
-                Var::Pi(i) => (self.pi_net[i as usize] as usize, pattern.pi[i as usize]),
+                Var::Load(i) => (t.flop_q()[i as usize] as usize, pattern.load[i as usize]),
+                Var::Pi(i) => (t.pi_net()[i as usize] as usize, pattern.pi[i as usize]),
             };
             if s.frame1[net] != v {
                 s.trail.push(trail_entry(net, s.frame1[net], TRAIL_FRAME1));
@@ -673,7 +490,7 @@ impl<'a> Podem<'a> {
             );
             for w in w0..w1 {
                 let f = self.d_watch[w] as usize;
-                let q = self.flop_q[f] as usize;
+                let q = t.flop_q()[f] as usize;
                 let nv = s.frame1[c];
                 if s.good2[q] != nv {
                     s.trail.push(trail_entry(q, s.good2[q], TRAIL_GOOD2));
@@ -691,12 +508,12 @@ impl<'a> Podem<'a> {
                     );
                     for w in w0..w1 {
                         let f = self.l_watch[w] as usize;
-                        let nv = match self.state2_src[f] {
+                        let nv = match self.launch.sources()[f] {
                             State2Src::Hold => pattern.load[f],
                             State2Src::LoadOf(u) => pattern.load[u as usize],
                             _ => unreachable!("l_watch only lists Hold/LoadOf flops"),
                         };
-                        let q = self.flop_q[f] as usize;
+                        let q = t.flop_q()[f] as usize;
                         if s.good2[q] != nv {
                             s.trail.push(trail_entry(q, s.good2[q], TRAIL_GOOD2));
                             s.good2[q] = nv;
@@ -705,7 +522,7 @@ impl<'a> Podem<'a> {
                     }
                 }
                 Var::Pi(i) => {
-                    let p = self.pi_net[i as usize] as usize;
+                    let p = t.pi_net()[i as usize] as usize;
                     let v = pattern.pi[i as usize];
                     if s.good2[p] != v {
                         s.trail.push(trail_entry(p, s.good2[p], TRAIL_GOOD2));
@@ -813,7 +630,7 @@ impl<'a> Podem<'a> {
     /// sweep, D-frontier scan, detection check, X-path) is restricted to
     /// these structures.
     fn set_cone(&self, site: FaultSite, s: &mut PodemScratch) {
-        let netlist = self.sim.netlist();
+        let netlist = self.netlist;
         if s.cone_epoch == u32::MAX {
             s.cone_net.fill(0);
             s.cone_gate.fill(0);
@@ -861,12 +678,12 @@ impl<'a> Podem<'a> {
             }
         }
         s.cone_topo
-            .sort_unstable_by_key(|&g| (self.gate_level[g as usize], g));
+            .sort_unstable_by_key(|&g| (t.gate_level(g as usize), g));
         s.cone_by_id.clear();
         s.cone_by_id.extend_from_slice(&s.cone_topo);
         s.cone_by_id.sort_unstable();
         s.cone_observed.clear();
-        for &o in &self.observed {
+        for &o in self.launch.observation_points() {
             if s.cone_net[o.index()] == epoch {
                 s.cone_observed.push(o);
             }
@@ -919,7 +736,7 @@ impl<'a> Podem<'a> {
         pattern: &mut TestPattern,
         s: &mut PodemScratch,
     ) -> PodemOutcome {
-        let netlist = self.sim.netlist();
+        let netlist = self.netlist;
         let v_init = Logic::from_bool(fault.polarity.initial_value());
         let v_final = Logic::from_bool(fault.polarity.final_value());
         let site_net = fault.site.net(netlist);
@@ -1088,7 +905,7 @@ impl<'a> Podem<'a> {
                 if let Some((p, val)) = self.side_objective(s, g, pin as usize) {
                     frontier.push(out as u32);
                     let side = t.inputs(g)[p];
-                    best = Some((self.depth[side as usize], NetId::new(side), val));
+                    best = Some((t.net_level(side as usize), NetId::new(side), val));
                 }
             }
         }
@@ -1118,7 +935,7 @@ impl<'a> Podem<'a> {
             if let Some((pin, val)) = self.propagation_objective(s, g) {
                 frontier.push(out as u32);
                 let side = t.inputs(g)[pin];
-                let key = self.depth[side as usize]; // prefer shallow side inputs
+                let key = t.net_level(side as usize); // prefer shallow side inputs
                 if best.is_none_or(|(bk, _, _)| key < bk) {
                     best = Some((key, NetId::new(side), val));
                 }
@@ -1157,7 +974,7 @@ impl<'a> Podem<'a> {
                 continue;
             }
             s.xstamp[i] = epoch;
-            if self.observed_mask[i] {
+            if self.launch.is_observed(i) {
                 return true;
             }
             for &g in t.fanout(i) {
@@ -1247,7 +1064,7 @@ impl<'a> Podem<'a> {
         mut value: Logic,
         mut frame: Frame,
     ) -> Option<(Var, Logic)> {
-        let netlist = self.sim.netlist();
+        let netlist = self.netlist;
         // Bounded walk; each step descends through the driving gate.
         for _ in 0..4 * netlist.num_nets().max(16) {
             match netlist.net(net).source {
@@ -1262,25 +1079,21 @@ impl<'a> Podem<'a> {
                 Some(NetSource::Const(_)) => return None,
                 Some(NetSource::Flop(f)) => match frame {
                     Frame::One => return Some((Var::Load(f.raw()), value)),
-                    Frame::Two => match self.mode {
-                        LaunchMode::Capture => {
-                            let flop = netlist.flop(f);
-                            if flop.clock == self.active_clock {
-                                net = flop.d;
-                                frame = Frame::One;
-                            } else {
-                                return Some((Var::Load(f.raw()), value));
-                            }
+                    Frame::Two => match self.launch.sources()[f.index()] {
+                        State2Src::FromD(d) => {
+                            net = d;
+                            frame = Frame::One;
                         }
-                        LaunchMode::Shift => {
-                            // Frame-2 state came from the upstream scan
-                            // cell's load; chain heads hold the constant
-                            // scan-in (would never be X here).
-                            match self.upstream[f.index()] {
-                                Some(up) => return Some((Var::Load(up), value)),
-                                None => return None,
-                            }
+                        // Launch-off-shift: the state came from the
+                        // upstream scan cell's load.
+                        State2Src::LoadOf(up) => return Some((Var::Load(up), value)),
+                        State2Src::Hold if self.launch.mode() == LaunchMode::Capture => {
+                            return Some((Var::Load(f.raw()), value));
                         }
+                        // Chain heads hold the constant scan-in (never X
+                        // here); unstitched flops under launch-off-shift
+                        // are not backtraced.
+                        State2Src::Hold | State2Src::ScanIn => return None,
                     },
                 },
                 Some(NetSource::Gate(g)) => {
@@ -1320,13 +1133,13 @@ impl<'a> Podem<'a> {
         let easiest = |nets: &[u32]| {
             nets.iter()
                 .copied()
-                .min_by_key(|&n| self.depth[n as usize])
+                .min_by_key(|&n| t.net_level(n as usize))
                 .expect("non-empty")
         };
         let hardest = |nets: &[u32]| {
             nets.iter()
                 .copied()
-                .max_by_key(|&n| self.depth[n as usize])
+                .max_by_key(|&n| t.net_level(n as usize))
                 .expect("non-empty")
         };
         let v = value;

@@ -24,7 +24,7 @@
 //!
 //! * **Frame 1** (scan load applied): flop Q nets alias their scan-load
 //!   variable, PI nets their held primary-input variable, and each gate
-//!   gets Tseitin clauses enumerated from [`CellKind::eval_bool`] — the
+//!   gets Tseitin clauses enumerated from [`CellKind::eval`] — the
 //!   netlist's own truth tables are the oracle, so the encoder cannot
 //!   disagree with the simulator.
 //! * **Frame 2, good machine**: flop Q variables alias per
@@ -49,15 +49,12 @@
 //! Clause emission walks [`Levelization::order`] once per plane, so the
 //! encoder is iterative — no recursion to overflow on deep logic.
 //!
-//! [`CellKind::eval_bool`]: scap_netlist::CellKind::eval_bool
+//! [`CellKind::eval`]: scap_netlist::CellKind::eval
 
-use crate::engine::{
-    observable_mask, observation_points, scan_upstream, state2_sources, State2Src,
-};
 use scap_dft::TestPattern;
 use scap_netlist::{ClockId, GateId, Levelization, Logic, NetId, NetSource, Netlist};
 use scap_sat::{Lit, SolveResult, Solver, SolverStats};
-use scap_sim::{FaultSite, LaunchMode, TransitionFault};
+use scap_sim::{FaultSite, LaunchMode, LaunchModel, State2Src, TransitionFault};
 
 /// Outcome of one SAT ATPG attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,12 +75,9 @@ pub struct SatAtpg<'a> {
     netlist: &'a Netlist,
     /// Combinational levelization, the clause-emission order.
     levels: Levelization,
-    /// Frame-2 state source per flop (shared semantics with PODEM).
-    state2: Vec<State2Src>,
-    /// Observation points: D nets of active-domain flops.
-    observed: Vec<NetId>,
-    /// Per net: structurally reaches an observation point?
-    observable: Vec<bool>,
+    /// Frame-2 state sources and observation points (the same model
+    /// the PODEM planes and the fault simulator apply).
+    launch: LaunchModel,
     /// Per net: primary-input index, `u32::MAX` otherwise.
     pi_of_net: Vec<u32>,
     /// Conflict budget per solve (`Unknown` past it).
@@ -215,7 +209,7 @@ impl<'e, 'a> Encoder<'e, 'a> {
                             work.extend(n.gate(g).inputs.iter().map(|&i| Need::G2(i)));
                         }
                         Some(NetSource::Flop(f)) => {
-                            if let State2Src::FromD(d) = self.eng.state2[f.index()] {
+                            if let State2Src::FromD(d) = self.eng.launch.sources()[f.index()] {
                                 work.push(Need::F1(d));
                             }
                         }
@@ -340,7 +334,7 @@ impl<'e, 'a> Encoder<'e, 'a> {
             Some(NetSource::Gate(_)) => {
                 unreachable!("g2 gate output read before its level")
             }
-            Some(NetSource::Flop(f)) => match self.eng.state2[f.index()] {
+            Some(NetSource::Flop(f)) => match self.eng.launch.sources()[f.index()] {
                 State2Src::FromD(d) => self.f1_lit(d),
                 State2Src::Hold => self.load_lit(f.index()),
                 State2Src::LoadOf(j) => self.load_lit(j as usize),
@@ -380,22 +374,22 @@ impl<'e, 'a> Encoder<'e, 'a> {
 
     /// Tseitin encoding of `out = kind(ins)` by truth-table
     /// enumeration, one clause per input row, with
-    /// [`CellKind::eval_bool`](scap_netlist::CellKind::eval_bool) as
-    /// the function oracle (≤ 4 inputs on every library cell, so ≤ 16
-    /// clauses per gate).
+    /// [`CellKind::eval`](scap_netlist::CellKind::eval) as the function
+    /// oracle (≤ 4 inputs on every library cell, so ≤ 16 clauses per
+    /// gate).
     fn emit_gate(&mut self, g: GateId, out: Lit, ins: &[Lit]) {
         let kind = self.eng.netlist.gate(g).kind;
         let k = ins.len();
-        let mut row = vec![false; k];
+        let mut row = vec![Logic::Zero; k];
         for m in 0..1usize << k {
             for (b, r) in row.iter_mut().enumerate() {
-                *r = (m >> b) & 1 == 1;
+                *r = Logic::from_bool((m >> b) & 1 == 1);
             }
-            let o = kind.eval_bool(&row);
+            let o = kind.eval(&row) == Logic::One;
             let mut clause: Vec<Lit> = ins
                 .iter()
                 .zip(&row)
-                .map(|(&l, &r)| if r { !l } else { l })
+                .map(|(&l, &r)| if r == Logic::One { !l } else { l })
                 .collect();
             clause.push(if o { out } else { !out });
             self.solver.add_clause(&clause);
@@ -466,10 +460,6 @@ impl<'a> SatAtpg<'a> {
         mode: LaunchMode,
         conflict_limit: u64,
     ) -> Self {
-        let observed = observation_points(netlist, active_clock);
-        let observable = observable_mask(netlist, &observed);
-        let upstream = scan_upstream(netlist);
-        let state2 = state2_sources(netlist, active_clock, mode, &upstream);
         let mut pi_of_net = vec![u32::MAX; netlist.num_nets()];
         for (i, p) in netlist.primary_inputs().iter().enumerate() {
             pi_of_net[p.index()] = i as u32;
@@ -477,9 +467,7 @@ impl<'a> SatAtpg<'a> {
         SatAtpg {
             netlist,
             levels: Levelization::build(netlist),
-            state2,
-            observed,
-            observable,
+            launch: LaunchModel::new(netlist, active_clock, mode),
             pi_of_net,
             conflict_limit,
             load_ones_budget: None,
@@ -496,20 +484,11 @@ impl<'a> SatAtpg<'a> {
         self
     }
 
-    /// The net where the fault's effect first appears: the net itself
-    /// for a stem fault, the reading gate's output for a branch fault.
-    fn effect_net(&self, fault: TransitionFault) -> usize {
-        match fault.site {
-            FaultSite::Net(n) => n.index(),
-            FaultSite::Pin { gate, .. } => self.netlist.gate(gate).output.index(),
-        }
-    }
-
     /// Tries to extend `pattern` (in place) so it detects `fault`,
     /// returning the verdict. On `Untestable` and `Unknown` the pattern
     /// is left untouched. Statistics land on the `sat.*` counters.
     pub fn generate(&self, fault: TransitionFault, pattern: &mut TestPattern) -> SatOutcome {
-        if !self.observable[self.effect_net(fault)] {
+        if !self.launch.is_observable(self.netlist, fault) {
             // No structural path to a capture flop: untestable without
             // building a formula (the same shortcut PODEM takes).
             return SatOutcome::Untestable;
@@ -522,7 +501,8 @@ impl<'a> SatAtpg<'a> {
         let site = fault.site.net(self.netlist);
         let mut roots = vec![Need::F1(site), Need::G2(site)];
         let capture: Vec<NetId> = self
-            .observed
+            .launch
+            .observation_points()
             .iter()
             .copied()
             .filter(|o| enc.cone[o.index()])

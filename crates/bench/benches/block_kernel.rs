@@ -2,10 +2,10 @@
 //! netlist.
 //!
 //! Grades the same 512 faults × 64 patterns two ways: pattern-at-a-time
-//! through the single-lane fast path (the PR 5 scalar shape) and as one
-//! 64-lane block through `detect_block`. The ratio between the two is
-//! the bit-parallel win; a regression in the packed evaluators shows up
-//! here without running the full evaluation. The netlist is seeded, so
+//! as 64 one-lane blocks (the scalar shape) and as one 64-lane block
+//! through `detect_block`. The ratio between the two is the bit-parallel
+//! win; a regression in the packed kernel shows up here without running
+//! the full evaluation. The netlist is seeded, so
 //! numbers are comparable across runs and machines.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use scap::dft::{FillPolicy, PatternBatch, TestPattern};
-use scap::sim::{BatchSim, FaultList, TransitionFaultSim};
+use scap::sim::{FaultList, SimTable, TransitionFaultSim};
 use scap::tgen::{Podem, PodemOutcome};
 
 fn bench(c: &mut Criterion) {
@@ -14,11 +14,11 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("kernels");
     g.sample_size(10);
-    let batch_sim = BatchSim::new(n);
+    let table = SimTable::build(n);
     let loads: Vec<u64> = (0..n.num_flops()).map(|_| rng.gen()).collect();
     let pis: Vec<u64> = (0..n.primary_inputs().len()).map(|_| rng.gen()).collect();
     g.bench_function("batch_sim_64_patterns", |b| {
-        b.iter(|| batch_sim.eval(&loads, &pis))
+        b.iter(|| table.eval(&loads, &pis))
     });
 
     let faults = FaultList::full(n);
@@ -56,16 +56,10 @@ fn bench(c: &mut Criterion) {
         b.iter(|| grid.solve(&currents))
     });
 
-    // Solver-reuse variants of the same solve: hoisted scratch
-    // allocations (cold start, bit-identical) and warm start from the
-    // previous solution (same tolerance, fewer iterations).
+    // The same solve with hoisted scratch allocations (bit-identical).
     let mut solver = grid.solver();
     g.bench_function("grid_cg_solve_reused_scratch", |b| {
         b.iter(|| solver.solve(&currents))
-    });
-    let mut warm = grid.solver();
-    g.bench_function("grid_cg_solve_warm_start", |b| {
-        b.iter(|| warm.solve_warm(&currents))
     });
 
     // Per-pattern dynamic IR-drop: one-shot (grid system assembled per

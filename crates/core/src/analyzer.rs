@@ -3,9 +3,9 @@
 use crate::CaseStudy;
 use scap_dft::{FilledPattern, PatternBatch, PatternSet};
 use scap_exec::Executor;
-use scap_netlist::{ClockId, FlopId, Netlist};
+use scap_netlist::{FlopId, Netlist};
 use scap_power::{DynamicAnalysis, IrDropMap, PatternPower, ScapCalculator};
-use scap_sim::{loc, BatchSim, EventSim, ToggleTrace};
+use scap_sim::{EventSim, LaunchMode, LaunchModel, SimTable, ToggleTrace};
 use scap_timing::{scaling, ClockArrivals, DelayAnnotation};
 
 /// Per-endpoint delay report (the paper's Figure 7 data).
@@ -51,17 +51,19 @@ impl EndpointDelayReport {
 #[derive(Debug)]
 pub struct PatternAnalyzer<'a> {
     study: &'a CaseStudy,
-    batch: BatchSim<'a>,
-    active_clock: ClockId,
+    table: SimTable,
+    /// Launch-off-capture of the case study's dominant clock domain.
+    launch: LaunchModel,
 }
 
 impl<'a> PatternAnalyzer<'a> {
     /// Builds an analyzer bound to a case study.
     pub fn new(study: &'a CaseStudy) -> Self {
+        let n = &study.design.netlist;
         PatternAnalyzer {
             study,
-            batch: BatchSim::new(&study.design.netlist),
-            active_clock: study.clka(),
+            table: SimTable::build(n),
+            launch: LaunchModel::new(n, study.clka(), LaunchMode::Capture),
         }
     }
 
@@ -80,12 +82,11 @@ impl<'a> PatternAnalyzer<'a> {
     ) -> (Vec<bool>, Vec<(FlopId, bool, f64)>) {
         let n = self.netlist();
         let b = PatternBatch::pack(std::slice::from_ref(filled));
-        let frames =
-            loc::loc_frames_batch(&self.batch, &b.load_words, &b.pi_words, self.active_clock);
+        let frames = self.table.frames(&self.launch, &b.load_words, &b.pi_words);
         let frame1: Vec<bool> = frames.frame1.iter().map(|w| w & 1 == 1).collect();
         let mut launches = Vec::new();
         for (i, f) in n.flops().iter().enumerate() {
-            if f.clock != self.active_clock {
+            if f.clock != self.launch.active_clock() {
                 continue;
             }
             let id = FlopId::new(i as u32);

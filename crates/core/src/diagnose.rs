@@ -63,7 +63,7 @@ pub fn diagnose(
     let mut candidates: Vec<Candidate> = Vec::new();
     let batches: Vec<_> = patterns.batches().collect();
     // Frames depend only on the batch; compute each referenced batch once.
-    let mut frame_cache: std::collections::HashMap<usize, scap_sim::loc::BatchFrames> =
+    let mut frame_cache: std::collections::HashMap<usize, scap_sim::Frames<u64>> =
         std::collections::HashMap::new();
     for (pattern, _) in &observations {
         let batch_idx = pattern / 64;

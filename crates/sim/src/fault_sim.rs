@@ -1,5 +1,8 @@
 //! PPSFP (parallel-pattern single-fault propagation) transition-fault
-//! simulation under launch-off-capture.
+//! simulation.
+//!
+//! A [`PatternBlock`] holds the two frames of up to 64 filled patterns as
+//! per-net `u64` words, so one gate evaluation grades all 64 lanes.
 //!
 //! Detection criterion (the standard transition-fault approximation): the
 //! pattern must *launch* the target transition at the fault site (frame 1
@@ -8,24 +11,9 @@
 //! capture point (a D pin of an active-domain flop — primary outputs are
 //! not measured, per the paper's low-cost-tester setup).
 
-use crate::loc::{loc_frames_batch, los_frames_batch, BatchFrames};
 use crate::sched::LevelQueue;
-use crate::Polarity;
-use crate::{BatchSim, FaultSite, TransitionFault};
-use scap_netlist::{ClockId, GateId, NetSource, Netlist};
-use serde::{Deserialize, Serialize};
-
-/// How the second frame of a transition-fault pattern is launched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LaunchMode {
-    /// Launch-off-capture (broadside): frame 2 is the combinational
-    /// response of the load (the paper's method).
-    Capture,
-    /// Launch-off-shift (skewed-load): frame 2 is the load shifted one
-    /// position along every scan chain, scan-in tied to 0. Needs an
-    /// at-speed scan-enable (paper §1.1).
-    Shift,
-}
+use crate::{FaultSite, Frames, LaunchMode, LaunchModel, Polarity, SimTable, TransitionFault};
+use scap_netlist::{ClockId, NetId, Netlist};
 
 /// Result of simulating a pattern batch against a fault list.
 #[derive(Clone, Debug, Default)]
@@ -40,6 +28,23 @@ impl DetectionSummary {
     pub fn num_detected(&self) -> usize {
         self.detect_mask.iter().filter(|&&m| m != 0).count()
     }
+}
+
+/// Up to 64 fully-specified two-frame patterns, transposed into per-net
+/// word planes (lane = pattern), built by
+/// [`TransitionFaultSim::block_from_words`].
+///
+/// Lanes at and above `count` are *stale*: their plane bits are
+/// meaningless and [`TransitionFaultSim::detect_block`] masks them out
+/// through `valid_mask`.
+#[derive(Clone, Debug)]
+pub struct PatternBlock {
+    /// Number of real patterns in the block.
+    pub count: usize,
+    /// One bit per real pattern.
+    pub valid_mask: u64,
+    /// Both frames, one word per net.
+    pub frames: Frames<u64>,
 }
 
 /// Transition-fault simulator bound to one netlist and active clock domain.
@@ -61,20 +66,9 @@ impl DetectionSummary {
 /// ```
 #[derive(Debug)]
 pub struct TransitionFaultSim<'a> {
-    batch: BatchSim<'a>,
-    active_clock: ClockId,
-    mode: LaunchMode,
-    /// Level of the gate driving each net (+1); 0 for source nets.
-    net_level: Vec<u32>,
-    /// Whether each net is a capture observation point.
-    observed: Vec<bool>,
-    /// Whether each net reaches an observed capture point through
-    /// combinational logic (reverse BFS from the observed nets). Faults
-    /// whose effect enters on a net outside this set can never be
-    /// detected and are skipped before launch-checking.
-    observable: Vec<bool>,
-    /// Bucket count for the levelized scheduler (max net level + 1).
-    num_levels: u32,
+    netlist: &'a Netlist,
+    table: SimTable,
+    launch: LaunchModel,
 }
 
 impl<'a> TransitionFaultSim<'a> {
@@ -85,48 +79,10 @@ impl<'a> TransitionFaultSim<'a> {
 
     /// Builds a simulator with an explicit launch mode.
     pub fn with_mode(netlist: &'a Netlist, active_clock: ClockId, mode: LaunchMode) -> Self {
-        let batch = BatchSim::new(netlist);
-        let lv = batch.levelization();
-        let mut net_level = vec![0u32; netlist.num_nets()];
-        for &g in lv.order() {
-            net_level[netlist.gate(g).output.index()] = lv.level(g) + 1;
-        }
-        let mut observed = vec![false; netlist.num_nets()];
-        for f in netlist.flops() {
-            if f.clock == active_clock {
-                observed[f.d.index()] = true;
-            }
-        }
-        // Reverse BFS from the observed capture points through gate
-        // inputs. Forward diff propagation follows exactly the
-        // `fanout_gates` edges, so a fault seeded outside this closure
-        // can never reach an observed net.
-        let mut observable = observed.clone();
-        let mut stack: Vec<u32> = observable
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o)
-            .map(|(i, _)| i as u32)
-            .collect();
-        while let Some(n) = stack.pop() {
-            if let Some(NetSource::Gate(g)) = netlist.net(scap_netlist::NetId::new(n)).source {
-                for &inp in &netlist.gate(g).inputs {
-                    if !observable[inp.index()] {
-                        observable[inp.index()] = true;
-                        stack.push(inp.raw());
-                    }
-                }
-            }
-        }
-        let num_levels = net_level.iter().copied().max().unwrap_or(0) + 1;
         TransitionFaultSim {
-            batch,
-            active_clock,
-            mode,
-            net_level,
-            observed,
-            observable,
-            num_levels,
+            netlist,
+            table: SimTable::build(netlist),
+            launch: LaunchModel::new(netlist, active_clock, mode),
         }
     }
 
@@ -135,54 +91,36 @@ impl<'a> TransitionFaultSim<'a> {
     /// yield an all-zero detect mask; callers may skip simulating them.
     #[inline]
     pub fn is_observable(&self, fault: TransitionFault) -> bool {
-        self.observable[self.effect_net(fault)]
+        self.launch.is_observable(self.netlist, fault)
     }
 
-    /// The net where the fault effect enters the fanout cone: the net
-    /// itself for stem faults, the reading gate's output for branch
-    /// faults.
-    #[inline]
-    fn effect_net(&self, fault: TransitionFault) -> usize {
-        match fault.site {
-            FaultSite::Net(n) => n.index(),
-            FaultSite::Pin { gate, .. } => self.batch.netlist().gate(gate).output.index(),
-        }
+    /// The flattened topology the kernels run on.
+    pub fn table(&self) -> &SimTable {
+        &self.table
     }
 
-    /// The underlying batch simulator (for callers that also need good
-    /// frames).
-    pub fn batch_sim(&self) -> &BatchSim<'a> {
-        &self.batch
-    }
-
-    /// The configured launch mode.
-    pub fn launch_mode(&self) -> LaunchMode {
-        self.mode
-    }
-
-    /// The active (at-speed) clock domain.
-    pub fn active_clock(&self) -> ClockId {
-        self.active_clock
-    }
-
-    /// Whether net `n` is an observed capture point.
-    #[inline]
-    pub(crate) fn observed_net(&self, n: usize) -> bool {
-        self.observed[n]
-    }
-
-    /// Scheduler bucket count (max net level + 1).
-    #[inline]
-    pub(crate) fn num_levels(&self) -> u32 {
-        self.num_levels
+    /// The launch and observation rule.
+    pub fn launch(&self) -> &LaunchModel {
+        &self.launch
     }
 
     /// Computes launch frames for a batch of up to 64 fully-specified
     /// loads under the configured mode.
-    pub fn frames(&self, load: &[u64], pi: &[u64]) -> BatchFrames {
-        match self.mode {
-            LaunchMode::Capture => loc_frames_batch(&self.batch, load, pi, self.active_clock),
-            LaunchMode::Shift => los_frames_batch(&self.batch, load, pi, 0),
+    pub fn frames(&self, load: &[u64], pi: &[u64]) -> Frames<u64> {
+        self.table.frames(&self.launch, load, pi)
+    }
+
+    /// Builds a [`PatternBlock`] from up to 64 fully-specified packed
+    /// patterns (one load bit per flop, one PI bit per input, lane =
+    /// pattern).
+    pub fn block_from_words(&self, load: &[u64], pi: &[u64], valid_mask: u64) -> PatternBlock {
+        let count = valid_mask.count_ones() as usize;
+        scap_obs::counter!("sim.block_evals").incr();
+        scap_obs::counter!("sim.patterns_per_block").add(count as u64);
+        PatternBlock {
+            count,
+            valid_mask,
+            frames: self.frames(load, pi),
         }
     }
 
@@ -197,18 +135,13 @@ impl<'a> TransitionFaultSim<'a> {
         valid_mask: u64,
         faults: &[TransitionFault],
     ) -> DetectionSummary {
-        let mut scratch = PropagationScratch::new(self.batch.netlist().num_nets());
+        let mut scratch = PropagationScratch::new(self.netlist.num_nets());
         self.detect_batch_with_scratch(load, pi, valid_mask, faults, &mut scratch)
     }
 
     /// Like [`TransitionFaultSim::detect_batch`] but reuses caller-owned
     /// propagation buffers — avoids one diff-vector allocation per batch
     /// when grading many batches (e.g. one scratch per worker thread).
-    ///
-    /// A `valid_mask` with a single bit set (the ATPG drop-simulation
-    /// shape: one candidate pattern against many faults) takes a fast
-    /// path that skips building a [`crate::PatternBlock`], so no care
-    /// planes are allocated or filled for the degenerate one-lane case.
     pub fn detect_batch_with_scratch(
         &self,
         load: &[u64],
@@ -217,37 +150,21 @@ impl<'a> TransitionFaultSim<'a> {
         faults: &[TransitionFault],
         scratch: &mut PropagationScratch,
     ) -> DetectionSummary {
+        let block = self.block_from_words(load, pi, valid_mask);
         let mut summary = DetectionSummary {
             detect_mask: Vec::with_capacity(faults.len()),
         };
         let mut detections = 0u64;
         let mut skipped = 0u64;
-        if valid_mask.count_ones() == 1 {
-            let frames = self.frames(load, pi);
-            scap_obs::counter!("sim.block_evals").incr();
-            scap_obs::counter!("sim.patterns_per_block").incr();
-            for fault in faults {
-                if !self.is_observable(*fault) {
-                    skipped += 1;
-                    summary.detect_mask.push(0);
-                    continue;
-                }
-                let mask = self.detect_one(&frames, valid_mask, *fault, scratch);
-                detections += u64::from(mask != 0);
-                summary.detect_mask.push(mask);
+        for &fault in faults {
+            if !self.is_observable(fault) {
+                skipped += 1;
+                summary.detect_mask.push(0);
+                continue;
             }
-        } else {
-            let block = self.block_from_words(load, pi, valid_mask);
-            for fault in faults {
-                if !self.is_observable(*fault) {
-                    skipped += 1;
-                    summary.detect_mask.push(0);
-                    continue;
-                }
-                let mask = self.detect_block(&block, *fault, scratch);
-                detections += u64::from(mask != 0);
-                summary.detect_mask.push(mask);
-            }
+            let mask = self.detect_block(&block, fault, scratch);
+            detections += u64::from(mask != 0);
+            summary.detect_mask.push(mask);
         }
         scap_obs::counter!("sim.fault_sim_batches").incr();
         scap_obs::counter!("sim.fault_sim_checks").add(faults.len() as u64);
@@ -256,30 +173,25 @@ impl<'a> TransitionFaultSim<'a> {
         summary
     }
 
-    /// Detection mask of one fault against precomputed frames.
-    pub fn detect_one(
+    /// Detection mask of one fault against a pattern block: which valid
+    /// lanes launch the transition at the site *and* propagate the
+    /// frame-2 stuck-at difference to an observed capture point.
+    pub fn detect_block(
         &self,
-        frames: &BatchFrames,
-        valid_mask: u64,
+        block: &PatternBlock,
         fault: TransitionFault,
         scratch: &mut PropagationScratch,
     ) -> u64 {
-        if !self.observable[self.effect_net(fault)] {
+        if !self.is_observable(fault) {
             return 0;
         }
-        let site_net = fault.site.net(self.batch.netlist());
-        let v1 = frames.frame1[site_net.index()];
-        let v2 = frames.frame2[site_net.index()];
-        let launch = match fault.polarity {
-            Polarity::SlowToRise => !v1 & v2,
-            Polarity::SlowToFall => v1 & !v2,
-        } & valid_mask;
+        let launch = self.launch_mask(&block.frames, block.valid_mask, fault);
         if launch == 0 {
             return 0;
         }
         self.propagate_diff(
-            &frames.frame2,
-            valid_mask,
+            &block.frames.frame2,
+            block.valid_mask,
             fault,
             launch,
             scratch,
@@ -287,12 +199,25 @@ impl<'a> TransitionFaultSim<'a> {
         )
     }
 
+    /// The valid lanes whose frames launch `fault`'s transition at its
+    /// site (frame 1 = initial value, frame 2 = final value).
+    #[inline]
+    fn launch_mask(&self, frames: &Frames<u64>, valid_mask: u64, fault: TransitionFault) -> u64 {
+        let site = fault.site.net(self.netlist).index();
+        let (v1, v2) = (frames.frame1[site], frames.frame2[site]);
+        let launched = match fault.polarity {
+            Polarity::SlowToRise => !v1 & v2,
+            Polarity::SlowToFall => v1 & !v2,
+        };
+        launched & valid_mask
+    }
+
     /// Seeds the fault effect and runs the level-ordered word propagation
-    /// shared by [`TransitionFaultSim::detect_one`] and
+    /// shared by [`TransitionFaultSim::detect_block`] and
     /// [`TransitionFaultSim::signature_one`]; `on_observed` sees each
     /// observed (net, diff) pair. `good2` is the fault-free frame-2 word
     /// plane the faulty machine is diffed against.
-    pub(crate) fn propagate_diff(
+    fn propagate_diff(
         &self,
         good2: &[u64],
         valid_mask: u64,
@@ -301,15 +226,17 @@ impl<'a> TransitionFaultSim<'a> {
         scratch: &mut PropagationScratch,
         mut on_observed: impl FnMut(u32, u64),
     ) -> u64 {
-        let t = self.batch.table();
-        scratch.ensure(t.num_nets(), self.num_levels as usize, t.num_gates());
+        let t = &self.table;
+        // Pushes go one level past the pushing gate's, so the deepest
+        // bucket is `num_levels`.
+        scratch.ensure(t.num_nets(), t.num_levels() as usize + 1, t.num_gates());
         scratch.reset();
         let mut detected = 0u64;
         match fault.site {
             FaultSite::Net(n) => {
                 let ni = n.index();
                 scratch.seed(ni, launch);
-                if self.observed[ni] {
+                if self.launch.is_observed(ni) {
                     detected |= launch;
                     on_observed(n.raw(), launch);
                 }
@@ -334,7 +261,7 @@ impl<'a> TransitionFaultSim<'a> {
                     return 0;
                 }
                 scratch.seed(out, diff);
-                if self.observed[out] {
+                if self.launch.is_observed(out) {
                     detected |= diff;
                     on_observed(out as u32, diff);
                 }
@@ -358,7 +285,7 @@ impl<'a> TransitionFaultSim<'a> {
             let diff = (faulty ^ good2[out]) & valid_mask;
             if diff != 0 {
                 scratch.seed(out, diff);
-                if self.observed[out] {
+                if self.launch.is_observed(out) {
                     detected |= diff;
                     on_observed(out as u32, diff);
                 }
@@ -370,29 +297,21 @@ impl<'a> TransitionFaultSim<'a> {
         detected
     }
 
-    /// Like [`TransitionFaultSim::detect_one`] but also returns, for each
-    /// observation point the fault reaches, the mask of patterns whose
-    /// capture would mismatch — the fault's *failure signature*. Used by
-    /// diagnosis.
+    /// Like [`TransitionFaultSim::detect_block`] but also returns, for
+    /// each observation point the fault reaches, the mask of patterns
+    /// whose capture would mismatch — the fault's *failure signature*.
+    /// Used by diagnosis.
     pub fn signature_one(
         &self,
-        frames: &BatchFrames,
+        frames: &Frames<u64>,
         valid_mask: u64,
         fault: TransitionFault,
         scratch: &mut PropagationScratch,
-    ) -> Vec<(scap_netlist::NetId, u64)> {
-        // Same propagation as `detect_one`, collecting observed diffs
-        // rather than OR-ing them together.
-        if !self.observable[self.effect_net(fault)] {
+    ) -> Vec<(NetId, u64)> {
+        if !self.is_observable(fault) {
             return Vec::new();
         }
-        let site_net = fault.site.net(self.batch.netlist());
-        let v1 = frames.frame1[site_net.index()];
-        let v2 = frames.frame2[site_net.index()];
-        let launch = match fault.polarity {
-            Polarity::SlowToRise => !v1 & v2,
-            Polarity::SlowToFall => v1 & !v2,
-        } & valid_mask;
+        let launch = self.launch_mask(frames, valid_mask, fault);
         if launch == 0 {
             return Vec::new();
         }
@@ -403,104 +322,9 @@ impl<'a> TransitionFaultSim<'a> {
             fault,
             launch,
             scratch,
-            |net, diff| signature.push((scap_netlist::NetId::new(net), diff)),
+            |net, diff| signature.push((NetId::new(net), diff)),
         );
         signature
-    }
-
-    #[inline]
-    fn gate_key(&self, g: GateId) -> (u32, u32) {
-        (
-            self.net_level[self.batch.netlist().gate(g).output.index()],
-            g.raw(),
-        )
-    }
-
-    /// Reference propagator retained as a differential-testing oracle:
-    /// the original `BinaryHeap<Reverse<(level, gate)>>` + `HashSet`
-    /// propagation that the bucket-queue kernel replaced. Allocates its
-    /// working set per call — use only in tests and cross-checks.
-    pub fn detect_one_reference(
-        &self,
-        frames: &BatchFrames,
-        valid_mask: u64,
-        fault: TransitionFault,
-    ) -> u64 {
-        use std::cmp::Reverse;
-        use std::collections::{BinaryHeap, HashSet};
-        let netlist = self.batch.netlist();
-        let site_net = fault.site.net(netlist);
-        let v1 = frames.frame1[site_net.index()];
-        let v2 = frames.frame2[site_net.index()];
-        let launch = match fault.polarity {
-            Polarity::SlowToRise => !v1 & v2,
-            Polarity::SlowToFall => v1 & !v2,
-        } & valid_mask;
-        if launch == 0 {
-            return 0;
-        }
-        let mut diff = vec![0u64; netlist.num_nets()];
-        let mut queue: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        let mut enqueued: HashSet<u32> = HashSet::new();
-        let enqueue = |queue: &mut BinaryHeap<Reverse<(u32, u32)>>,
-                       enqueued: &mut HashSet<u32>,
-                       key: (u32, u32)| {
-            if enqueued.insert(key.1) {
-                queue.push(Reverse(key));
-            }
-        };
-        let mut detected = 0u64;
-        match fault.site {
-            FaultSite::Net(n) => {
-                diff[n.index()] = launch;
-                if self.observed[n.index()] {
-                    detected |= launch;
-                }
-                for &g in netlist.fanout_gates(n) {
-                    enqueue(&mut queue, &mut enqueued, self.gate_key(g));
-                }
-            }
-            FaultSite::Pin { gate, pin } => {
-                let g = netlist.gate(gate);
-                let mut ins = [0u64; 4];
-                for (k, &inp) in g.inputs.iter().enumerate() {
-                    ins[k] = frames.frame2[inp.index()];
-                }
-                ins[pin as usize] ^= launch;
-                let faulty = g.kind.eval_word(&ins[..g.inputs.len()]);
-                let d = (faulty ^ frames.frame2[g.output.index()]) & valid_mask;
-                if d == 0 {
-                    return 0;
-                }
-                diff[g.output.index()] = d;
-                if self.observed[g.output.index()] {
-                    detected |= d;
-                }
-                for &succ in netlist.fanout_gates(g.output) {
-                    enqueue(&mut queue, &mut enqueued, self.gate_key(succ));
-                }
-            }
-        }
-        while let Some(Reverse((_, graw))) = queue.pop() {
-            let gate = netlist.gate(GateId::new(graw));
-            let mut ins = [0u64; 4];
-            for (k, &inp) in gate.inputs.iter().enumerate() {
-                ins[k] = frames.frame2[inp.index()] ^ diff[inp.index()];
-            }
-            let faulty = gate.kind.eval_word(&ins[..gate.inputs.len()]);
-            let out = gate.output.index();
-            let d = (faulty ^ frames.frame2[out]) & valid_mask;
-            if d != 0 {
-                diff[out] |= d;
-                if self.observed[out] {
-                    detected |= d;
-                }
-                for &succ in netlist.fanout_gates(gate.output) {
-                    enqueue(&mut queue, &mut enqueued, self.gate_key(succ));
-                }
-            }
-        }
-        detected
     }
 }
 
@@ -514,10 +338,6 @@ impl<'a> TransitionFaultSim<'a> {
 #[derive(Debug, Default)]
 pub struct PropagationScratch {
     diff: Vec<u64>,
-    /// Care-plane diff words for the three-valued block kernel; only
-    /// grown by [`PropagationScratch::ensure3`], so purely two-valued
-    /// users never pay for the second plane.
-    diffc: Vec<u64>,
     diff_stamp: Vec<u32>,
     epoch: u32,
     pub(crate) queue: LevelQueue,
@@ -528,7 +348,6 @@ impl PropagationScratch {
     pub fn new(num_nets: usize) -> Self {
         PropagationScratch {
             diff: vec![0; num_nets],
-            diffc: Vec::new(),
             diff_stamp: vec![0; num_nets],
             epoch: 0,
             queue: LevelQueue::new(),
@@ -541,15 +360,6 @@ impl PropagationScratch {
             self.diff_stamp.resize(num_nets, 0);
         }
         self.queue.ensure(num_levels, num_gates);
-    }
-
-    /// Like [`PropagationScratch::ensure`] but also sizes the care-diff
-    /// plane used by three-valued block propagation.
-    pub(crate) fn ensure3(&mut self, num_nets: usize, num_levels: usize, num_gates: usize) {
-        self.ensure(num_nets, num_levels, num_gates);
-        if self.diffc.len() < num_nets {
-            self.diffc.resize(num_nets, 0);
-        }
     }
 
     pub(crate) fn reset(&mut self) {
@@ -578,29 +388,6 @@ impl PropagationScratch {
             self.diff[net]
         } else {
             0
-        }
-    }
-
-    /// Stores a (value-diff, care-diff) pair for `net` this epoch.
-    #[inline]
-    pub(crate) fn seed3(&mut self, net: usize, dv: u64, dc: u64) {
-        if self.diff_stamp[net] != self.epoch {
-            self.diff_stamp[net] = self.epoch;
-            self.diff[net] = dv;
-            self.diffc[net] = dc;
-        } else {
-            self.diff[net] |= dv;
-            self.diffc[net] |= dc;
-        }
-    }
-
-    /// The (value-diff, care-diff) pair of `net` this epoch.
-    #[inline]
-    pub(crate) fn diff3(&self, net: usize) -> (u64, u64) {
-        if self.diff_stamp[net] == self.epoch {
-            (self.diff[net], self.diffc[net])
-        } else {
-            (0, 0)
         }
     }
 }

@@ -7,8 +7,103 @@
 //! loads through both and compare the raw detect masks.
 
 use proptest::prelude::*;
-use scap_netlist::{CellKind, ClockEdge, NetId, Netlist, NetlistBuilder};
-use scap_sim::{FaultList, PropagationScratch, TransitionFaultSim};
+use scap_netlist::{CellKind, ClockEdge, GateId, NetId, Netlist, NetlistBuilder};
+use scap_sim::{
+    FaultList, FaultSite, PatternBlock, Polarity, PropagationScratch, TransitionFault,
+    TransitionFaultSim,
+};
+
+/// Reference propagator: the original `BinaryHeap<Reverse<(level,
+/// gate)>>` + `HashSet` propagation that the bucket-queue kernel
+/// replaced, over the netlist's own gate and fanout lists. Allocates its
+/// working set per call.
+fn detect_reference(
+    fsim: &TransitionFaultSim<'_>,
+    netlist: &Netlist,
+    block: &PatternBlock,
+    fault: TransitionFault,
+) -> u64 {
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashSet};
+    let (frames, valid_mask) = (&block.frames, block.valid_mask);
+    let observed = |n: NetId| fsim.launch().is_observed(n.index());
+    let key = |g: GateId| {
+        (
+            fsim.table().net_level(netlist.gate(g).output.index()),
+            g.raw(),
+        )
+    };
+    let site_net = fault.site.net(netlist);
+    let v1 = frames.frame1[site_net.index()];
+    let v2 = frames.frame2[site_net.index()];
+    let launch = match fault.polarity {
+        Polarity::SlowToRise => !v1 & v2,
+        Polarity::SlowToFall => v1 & !v2,
+    } & valid_mask;
+    if launch == 0 {
+        return 0;
+    }
+    let mut diff = vec![0u64; netlist.num_nets()];
+    let mut queue: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+    let mut enqueued: HashSet<u32> = HashSet::new();
+    let mut enqueue = |queue: &mut BinaryHeap<Reverse<(u32, u32)>>, g: GateId| {
+        if enqueued.insert(g.raw()) {
+            queue.push(Reverse(key(g)));
+        }
+    };
+    let mut detected = 0u64;
+    match fault.site {
+        FaultSite::Net(n) => {
+            diff[n.index()] = launch;
+            if observed(n) {
+                detected |= launch;
+            }
+            for &g in netlist.fanout_gates(n) {
+                enqueue(&mut queue, g);
+            }
+        }
+        FaultSite::Pin { gate, pin } => {
+            let g = netlist.gate(gate);
+            let mut ins = [0u64; 4];
+            for (k, &inp) in g.inputs.iter().enumerate() {
+                ins[k] = frames.frame2[inp.index()];
+            }
+            ins[pin as usize] ^= launch;
+            let faulty = g.kind.eval_word(&ins[..g.inputs.len()]);
+            let d = (faulty ^ frames.frame2[g.output.index()]) & valid_mask;
+            if d == 0 {
+                return 0;
+            }
+            diff[g.output.index()] = d;
+            if observed(g.output) {
+                detected |= d;
+            }
+            for &succ in netlist.fanout_gates(g.output) {
+                enqueue(&mut queue, succ);
+            }
+        }
+    }
+    while let Some(Reverse((_, graw))) = queue.pop() {
+        let gate = netlist.gate(GateId::new(graw));
+        let mut ins = [0u64; 4];
+        for (k, &inp) in gate.inputs.iter().enumerate() {
+            ins[k] = frames.frame2[inp.index()] ^ diff[inp.index()];
+        }
+        let faulty = gate.kind.eval_word(&ins[..gate.inputs.len()]);
+        let out = gate.output.index();
+        let d = (faulty ^ frames.frame2[out]) & valid_mask;
+        if d != 0 {
+            diff[out] |= d;
+            if observed(gate.output) {
+                detected |= d;
+            }
+            for &succ in netlist.fanout_gates(gate.output) {
+                enqueue(&mut queue, succ);
+            }
+        }
+    }
+    detected
+}
 
 /// Strategy: a random acyclic netlist with inverter/buffer chains (to
 /// exercise equivalence collapsing), dead logic (to exercise
@@ -77,11 +172,11 @@ proptest! {
         let faults = FaultList::full(&n);
         let load: Vec<u64> = (0..n.num_flops()).map(|_| rng.gen()).collect();
         let pi: Vec<u64> = (0..n.primary_inputs().len()).map(|_| rng.gen()).collect();
-        let frames = fsim.frames(&load, &pi);
+        let block = fsim.block_from_words(&load, &pi, !0);
         let mut scratch = PropagationScratch::new(n.num_nets());
         for &fault in faults.faults() {
-            let fast = fsim.detect_one(&frames, !0, fault, &mut scratch);
-            let reference = fsim.detect_one_reference(&frames, !0, fault);
+            let fast = fsim.detect_block(&block, fault, &mut scratch);
+            let reference = detect_reference(&fsim, &n, &block, fault);
             prop_assert_eq!(
                 fast, reference,
                 "kernel diverged from reference on {:?}", fault
@@ -112,15 +207,15 @@ proptest! {
         let list = faults.faults();
         let load: Vec<u64> = (0..n.num_flops()).map(|_| rng.gen()).collect();
         let pi: Vec<u64> = (0..n.primary_inputs().len()).map(|_| rng.gen()).collect();
-        let frames = fsim.frames(&load, &pi);
+        let block = fsim.block_from_words(&load, &pi, !0);
         let mut scratch = PropagationScratch::new(n.num_nets());
         // Idempotence: a representative represents itself.
         for (i, &r) in rep.iter().enumerate() {
             prop_assert_eq!(rep[r as usize], r, "rep chain not flattened at {}", i);
         }
         for (i, &fault) in list.iter().enumerate() {
-            let own = fsim.detect_one(&frames, !0, fault, &mut scratch);
-            let via_rep = fsim.detect_one(&frames, !0, list[rep[i] as usize], &mut scratch);
+            let own = fsim.detect_block(&block, fault, &mut scratch);
+            let via_rep = fsim.detect_block(&block, list[rep[i] as usize], &mut scratch);
             prop_assert_eq!(
                 own, via_rep,
                 "member {:?} and representative {:?} disagree",

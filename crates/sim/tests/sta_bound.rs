@@ -12,7 +12,7 @@ use scap_netlist::{
     CellKind, ClockEdge, ClockId, Die, Floorplan, FlopId, Logic, NetId, Netlist, NetlistBuilder,
     Placement, Point, Rect,
 };
-use scap_sim::{loc, EventSim, LogicSim};
+use scap_sim::{EventSim, LaunchMode, LaunchModel, SimTable};
 use scap_timing::{ClockTree, DelayAnnotation, SlackSta};
 
 /// Slack allowed for femtosecond rounding inside the event queue (one
@@ -100,8 +100,8 @@ proptest! {
         let pi: Vec<Logic> = (0..n.primary_inputs().len())
             .map(|_| if rng.gen() { Logic::One } else { Logic::Zero })
             .collect();
-        let sim = LogicSim::new(&n);
-        let frames = loc::loc_frames(&sim, &load, &pi, ClockId::new(0));
+        let launch = LaunchModel::new(&n, ClockId::new(0), LaunchMode::Capture);
+        let frames = SimTable::build(&n).frames(&launch, &load, &pi);
         let frame1: Vec<bool> = frames
             .frame1
             .iter()

@@ -11,10 +11,9 @@ use crate::{GridConfig, GridSolver, PowerGrid};
 use scap_netlist::{BlockId, Floorplan, FlopId, GateId, NetSource, Netlist, Point};
 use scap_sim::ToggleTrace;
 use scap_timing::DelayAnnotation;
-use serde::{Deserialize, Serialize};
 
 /// The solved IR-drop map of one pattern.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IrDropMap {
     /// Per-mesh-node VDD drop, V.
     pub node_drop_vdd_v: Vec<f64>,

@@ -12,10 +12,9 @@
 use crate::{GridConfig, PowerGrid};
 use scap_netlist::{BlockId, Floorplan, NetSource, Netlist};
 use scap_timing::DelayAnnotation;
-use serde::{Deserialize, Serialize};
 
 /// Per-block statistical results.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BlockStatistics {
     /// Average switching power over the window, mW.
     pub avg_power_mw: f64,
@@ -27,7 +26,7 @@ pub struct BlockStatistics {
 
 /// Statistical analysis report: one row per block plus the chip total —
 /// the shape of the paper's Table 3.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StatisticalReport {
     /// Toggle probability assumed.
     pub toggle_probability: f64,

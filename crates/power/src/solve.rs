@@ -4,8 +4,7 @@
 //! assembly (triplets → reduced CSR) is split out into [`ReducedSystem`],
 //! built once per [`crate::PowerGrid`] and reused for every right-hand
 //! side. Per-solve vector allocations live in [`CgScratch`] so hot loops
-//! (one solve per pattern) can recycle them, and a warm-start entry point
-//! seeds the iteration from a previous solution.
+//! (one solve per pattern) can recycle them.
 
 /// A sparse symmetric positive-definite matrix in CSR-lite form, built by
 /// the grid module.
@@ -55,14 +54,10 @@ impl CgScratch {
 }
 
 /// Solves `A·x = b` for SPD `A` by preconditioned conjugate gradient,
-/// starting from the value of `x` (pass zeros for the classic cold
-/// start).
+/// starting from `x`, which must hold zeros (a cold start).
 ///
 /// Iterates until the residual 2-norm falls below `tol · max(‖b‖, ε)` or
-/// `max_iter` iterations, and returns the iteration count. The stopping
-/// criterion does not depend on the starting point, so a warm start
-/// converges to the same tolerance as a cold start — typically in fewer
-/// iterations, but to a numerically different (equally valid) iterate.
+/// `max_iter` iterations, and returns the iteration count.
 pub(crate) fn solve_spd_into(
     a: &SparseSpd,
     b: &[f64],
@@ -77,14 +72,6 @@ pub(crate) fn solve_spd_into(
     let r = &mut scratch.r;
     r.clear();
     r.extend_from_slice(b);
-    if x.iter().any(|&v| v != 0.0) {
-        // Warm start: r = b − A·x.
-        scratch.ap.resize(n, 0.0);
-        a.mul(x, &mut scratch.ap);
-        for (ri, ai) in r.iter_mut().zip(&scratch.ap) {
-            *ri -= ai;
-        }
-    }
     let z = &mut scratch.z;
     z.clear();
     z.extend(r.iter().zip(&a.diag).map(|(ri, di)| ri / di.max(1e-30)));
@@ -228,36 +215,23 @@ impl ReducedSystem {
     /// are bit-identical to assembling and solving from scratch.
     pub(crate) fn solve(&self, injection: &[f64]) -> Vec<f64> {
         let mut x = Vec::new();
-        self.solve_into(injection, &mut x, false, &mut CgScratch::new());
+        self.solve_into(injection, &mut x, &mut CgScratch::new());
         self.scatter(&x)
     }
 
-    /// Solves into a caller-owned reduced solution vector `x`, reusing
-    /// `scratch`. With `warm = false`, `x` is reset to zero first and the
-    /// result is bit-identical to [`ReducedSystem::solve`]; with
-    /// `warm = true`, the iteration starts from `x`'s current content
-    /// (previous solution). Returns the iteration count.
+    /// Solves into a caller-owned reduced solution vector `x` (reset to
+    /// zero first), reusing `scratch`. The result is bit-identical to
+    /// [`ReducedSystem::solve`]. Returns the iteration count.
     pub(crate) fn solve_into(
         &self,
         injection: &[f64],
         x: &mut Vec<f64>,
-        warm: bool,
         scratch: &mut CgScratch,
     ) -> usize {
         assert_eq!(injection.len(), self.num_nodes);
         let nf = self.num_free();
-        // Resolve both counters up front so each registers on the first
-        // solve — an all-cold-start run still reports `cg.warm_hits: 0`
-        // in snapshots instead of omitting the counter entirely.
-        let warm_hits = scap_obs::counter!("cg.warm_hits");
-        let warm_misses = scap_obs::counter!("cg.warm_misses");
-        if !warm || x.len() != nf {
-            warm_misses.incr();
-            x.clear();
-            x.resize(nf, 0.0);
-        } else {
-            warm_hits.incr();
-        }
+        x.clear();
+        x.resize(nf, 0.0);
         let b = &mut scratch.b;
         b.clear();
         b.resize(nf, 0.0);
@@ -396,19 +370,6 @@ mod tests {
         let _ = solve_cg(2, &[(0, 1, 1.0)], &[false, false], &[0.0, 1.0]);
     }
 
-    fn ladder_system() -> (ReducedSystem, Vec<f64>) {
-        let n = 40usize;
-        let branches: Vec<(u32, u32, f64)> = (0..n as u32 - 1).map(|i| (i, i + 1, 0.4)).collect();
-        let mut pinned = vec![false; n];
-        pinned[0] = true;
-        pinned[n - 1] = true;
-        let mut inj = vec![0.0; n];
-        for (i, v) in inj.iter_mut().enumerate() {
-            *v = 1e-3 * (1.0 + (i % 5) as f64);
-        }
-        (ReducedSystem::build(n, &branches, &pinned), inj)
-    }
-
     /// The cached-system path with reused scratch is bit-identical to the
     /// one-shot assemble-and-solve path.
     #[test]
@@ -424,54 +385,12 @@ mod tests {
         for case in 0..5 {
             let inj: Vec<f64> = (0..n).map(|i| 1e-3 * ((i + case) % 7) as f64).collect();
             let reference = solve_cg(n, &branches, &pinned, &inj);
-            system.solve_into(&inj, &mut x, false, &mut scratch);
+            system.solve_into(&inj, &mut x, &mut scratch);
             let reused = system.scatter(&x);
             assert_eq!(reused.len(), reference.len());
             for (a, b) in reused.iter().zip(&reference) {
                 assert_eq!(a.to_bits(), b.to_bits(), "case {case}");
             }
         }
-    }
-
-    /// Warm-starting from a nearby solution converges to the same answer
-    /// within the solve tolerance, in no more iterations than cold start.
-    #[test]
-    fn warm_start_agrees_within_tolerance() {
-        let (system, inj) = ladder_system();
-        let mut x_cold = Vec::new();
-        let mut scratch = CgScratch::new();
-        let cold_iters = system.solve_into(&inj, &mut x_cold, false, &mut scratch);
-        let cold = system.scatter(&x_cold);
-
-        // Perturb the injections slightly and warm-start from the previous
-        // solution.
-        let inj2: Vec<f64> = inj.iter().map(|v| v * 1.01).collect();
-        let mut x_warm = x_cold.clone();
-        let warm_iters = system.solve_into(&inj2, &mut x_warm, true, &mut scratch);
-        let warm = system.scatter(&x_warm);
-        let mut x_cold2 = Vec::new();
-        system.solve_into(&inj2, &mut x_cold2, false, &mut scratch);
-        let cold2 = system.scatter(&x_cold2);
-
-        let scale: f64 = cold.iter().cloned().fold(0.0, f64::max).max(1e-12);
-        for (w, c) in warm.iter().zip(&cold2) {
-            assert!((w - c).abs() <= 1e-6 * scale, "warm {w} vs cold {c}");
-        }
-        assert!(
-            warm_iters <= cold_iters,
-            "warm start took {warm_iters} iterations vs cold {cold_iters}"
-        );
-    }
-
-    /// Warm-starting from the exact solution of the same system converges
-    /// immediately (zero iterations).
-    #[test]
-    fn warm_start_from_exact_solution_is_free() {
-        let (system, inj) = ladder_system();
-        let mut x = Vec::new();
-        let mut scratch = CgScratch::new();
-        system.solve_into(&inj, &mut x, false, &mut scratch);
-        let again = system.solve_into(&inj, &mut x, true, &mut scratch);
-        assert_eq!(again, 0, "resolving the same rhs should be free");
     }
 }

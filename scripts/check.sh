@@ -34,6 +34,9 @@ if [ "$fast" -eq 0 ]; then
     echo "== determinism at an odd thread count (SCAP_THREADS=3) =="
     SCAP_THREADS=3 cargo test --offline -q -p scap --test determinism
 
+    echo "== golden flow fingerprints at an odd thread count (SCAP_THREADS=3) =="
+    SCAP_THREADS=3 cargo test --offline -q -p scap --test golden
+
     echo "== scap lint (design-rule check, warnings are errors) =="
     cargo build --offline --release -q -p scap-cli
     ./target/release/scap lint --scale 0.005 --deny warn

@@ -5,7 +5,7 @@ use scap_dft::{FilledPattern, PatternBatch, PatternSet};
 use scap_exec::Executor;
 use scap_netlist::{FlopId, Netlist};
 use scap_power::{DynamicAnalysis, IrDropMap, PatternPower, ScapCalculator};
-use scap_sim::{EventSim, LaunchMode, LaunchModel, SimTable, ToggleTrace};
+use scap_sim::{EventScratch, EventSim, Frames, LaunchMode, LaunchModel, SimTable, ToggleTrace};
 use scap_timing::{scaling, ClockArrivals, DelayAnnotation};
 
 /// Per-endpoint delay report (the paper's Figure 7 data).
@@ -54,6 +54,16 @@ pub struct PatternAnalyzer<'a> {
     table: SimTable,
     /// Launch-off-capture of the case study's dominant clock domain.
     launch: LaunchModel,
+    /// SCAP of the nominal annotation over the active clock period.
+    calc: ScapCalculator<'a>,
+}
+
+/// One pattern's launch: its frame-1 net values and its
+/// `(flop, new value, Q transition time)` launch events.
+#[derive(Debug, Default)]
+struct Launch {
+    frame1: Vec<bool>,
+    events: Vec<(FlopId, bool, f64)>,
 }
 
 impl<'a> PatternAnalyzer<'a> {
@@ -64,6 +74,7 @@ impl<'a> PatternAnalyzer<'a> {
             study,
             table: SimTable::build(n),
             launch: LaunchModel::new(n, study.clka(), LaunchMode::Capture),
+            calc: ScapCalculator::new(n, &study.annotation, study.period_ps()),
         }
     }
 
@@ -71,33 +82,53 @@ impl<'a> PatternAnalyzer<'a> {
         &self.study.design.netlist
     }
 
-    /// Launch events of a pattern under given clock arrivals and delays:
-    /// `(flop, new value, Q transition time)` for every active-domain flop
-    /// whose state changes at the launch edge.
-    fn launches(
+    /// Q transition time (clock arrival + clock-to-Q) of every
+    /// active-domain flop under the given arrivals and delays; `None` for
+    /// the other domains' flops, which do not launch.
+    fn launch_times(
         &self,
-        filled: &FilledPattern,
         annotation: &DelayAnnotation,
         arrivals: &ClockArrivals,
-    ) -> (Vec<bool>, Vec<(FlopId, bool, f64)>) {
+    ) -> Vec<Option<f64>> {
         let n = self.netlist();
-        let b = PatternBatch::pack(std::slice::from_ref(filled));
-        let frames = self.table.frames(&self.launch, &b.load_words, &b.pi_words);
-        let frame1: Vec<bool> = frames.frame1.iter().map(|w| w & 1 == 1).collect();
-        let mut launches = Vec::new();
-        for (i, f) in n.flops().iter().enumerate() {
-            if f.clock != self.launch.active_clock() {
-                continue;
-            }
-            let id = FlopId::new(i as u32);
-            let old = b.load_words[i] & 1 == 1;
-            let new = frames.state2[i] & 1 == 1;
-            if old != new {
-                let t = arrivals.arrival_ps(id).unwrap_or(0.0) + annotation.flop_clk_to_q_ps(id);
-                launches.push((id, new, t));
+        // `ClockArrivals::arrival_ps` searches linearly; index it once,
+        // keeping its first-match rule.
+        let mut arrival = vec![None; n.num_flops()];
+        for (f, t) in arrivals.iter() {
+            arrival[f.index()].get_or_insert(t);
+        }
+        n.flops()
+            .iter()
+            .zip(arrival)
+            .enumerate()
+            .map(|(i, (f, a))| {
+                (f.clock == self.launch.active_clock())
+                    .then(|| a.unwrap_or(0.0) + annotation.flop_clk_to_q_ps(FlopId::new(i as u32)))
+            })
+            .collect()
+    }
+
+    /// Reads lane `lane` of a batch's two-frame pass into `out`: the
+    /// lane's frame-1 bits, and a launch event at `launch_ps` for every
+    /// active-domain flop whose state changes at the launch edge.
+    fn launch_lane(
+        batch: &PatternBatch,
+        frames: &Frames<u64>,
+        lane: usize,
+        launch_ps: &[Option<f64>],
+        out: &mut Launch,
+    ) {
+        out.frame1.clear();
+        out.frame1
+            .extend(frames.frame1.iter().map(|w| w >> lane & 1 == 1));
+        out.events.clear();
+        for (i, &t) in launch_ps.iter().enumerate() {
+            let Some(t) = t else { continue };
+            let new = frames.state2[i] >> lane & 1 == 1;
+            if new != (batch.load_words[i] >> lane & 1 == 1) {
+                out.events.push((FlopId::new(i as u32), new, t));
             }
         }
-        (frame1, launches)
     }
 
     /// The launch-to-capture toggle trace of a pattern (nominal delays).
@@ -113,31 +144,62 @@ impl<'a> PatternAnalyzer<'a> {
         annotation: &DelayAnnotation,
         arrivals: &ClockArrivals,
     ) -> ToggleTrace {
-        let (frame1, launches) = self.launches(filled, annotation, arrivals);
-        EventSim::new(self.netlist(), annotation).run(&frame1, &launches)
+        let batch = PatternBatch::pack(std::slice::from_ref(filled));
+        let frames = self
+            .table
+            .frames(&self.launch, &batch.load_words, &batch.pi_words);
+        let launch_ps = self.launch_times(annotation, arrivals);
+        let mut launch = Launch::default();
+        Self::launch_lane(&batch, &frames, 0, &launch_ps, &mut launch);
+        EventSim::new(&self.table, annotation).run(&launch.frame1, &launch.events)
     }
 
     /// CAP/SCAP power of one pattern.
     pub fn power(&self, filled: &FilledPattern) -> PatternPower {
-        let trace = self.trace(filled);
-        self.power_of_trace(&trace)
+        self.power_of_trace(&self.trace(filled))
     }
 
     /// CAP/SCAP power of an existing trace.
     pub fn power_of_trace(&self, trace: &ToggleTrace) -> PatternPower {
-        let calc = ScapCalculator::new(
-            self.netlist(),
-            &self.study.annotation,
-            self.study.period_ps(),
-        );
-        calc.measure(trace)
+        self.calc.measure(trace)
     }
 
     /// SCAP profile of a whole pattern set — the data behind the paper's
-    /// Figures 2 and 6. Patterns are analyzed in parallel (order-stable,
-    /// bit-identical to the serial loop for every thread count).
+    /// Figures 2 and 6. Bit-identical to [`PatternAnalyzer::power`] per
+    /// pattern, in order, for every thread count.
+    ///
+    /// Patterns go through the launch pass up to 64 at a time, one lane
+    /// each; every lane's trace is measured as soon as it is simulated
+    /// and then dropped. Chunks run in parallel, and shrink below 64
+    /// patterns only to give every worker one.
     pub fn power_profile(&self, set: &PatternSet) -> Vec<PatternPower> {
-        Executor::new().parallel_map(&set.filled, |f| self.power(f))
+        self.power_profile_on(Executor::new(), set)
+    }
+
+    fn power_profile_on(&self, exec: Executor, set: &PatternSet) -> Vec<PatternPower> {
+        let annotation = &self.study.annotation;
+        let launch_ps = self.launch_times(annotation, &self.study.arrivals);
+        let sim = EventSim::new(&self.table, annotation);
+        let lanes = set.filled.len().div_ceil(exec.threads()).clamp(1, 64);
+        let chunks: Vec<&[FilledPattern]> = set.filled.chunks(lanes).collect();
+        let per_chunk = exec.parallel_map_with(
+            || (EventScratch::default(), Launch::default()),
+            &chunks,
+            |(scratch, launch), chunk| {
+                let batch = PatternBatch::pack(chunk);
+                let frames = self
+                    .table
+                    .frames(&self.launch, &batch.load_words, &batch.pi_words);
+                (0..chunk.len())
+                    .map(|lane| {
+                        Self::launch_lane(&batch, &frames, lane, &launch_ps, launch);
+                        let trace = sim.run_with(scratch, &launch.frame1, &launch.events);
+                        self.calc.measure(&trace)
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
+        per_chunk.into_iter().flatten().collect()
     }
 
     /// Dynamic IR-drop of one pattern.
@@ -327,6 +389,40 @@ mod tests {
             sc_max >= nom_max * 0.99,
             "worst path should not speed up materially: {nom_max} -> {sc_max}"
         );
+    }
+
+    /// The batched profile equals the one-pattern path in every f64 bit,
+    /// across the 64-lane boundaries and at one and three workers.
+    #[test]
+    fn power_profile_matches_per_pattern_power() {
+        let study = CaseStudy::small();
+        let an = PatternAnalyzer::new(&study);
+        let bits = |p: &PatternPower| {
+            let acc = |b: &scap_power::BlockPower| {
+                [
+                    b.energy_vdd_fj.to_bits(),
+                    b.energy_vss_fj.to_bits(),
+                    u64::from(b.toggles),
+                ]
+            };
+            let mut v = vec![p.stw_ps.to_bits(), p.period_ps.to_bits()];
+            v.extend(p.blocks.iter().chain([&p.chip]).flat_map(acc));
+            v
+        };
+        let filled: Vec<FilledPattern> =
+            (0..129).map(|s| random_pattern(&study, 100 + s)).collect();
+        let single: Vec<Vec<u64>> = filled.iter().map(|f| bits(&an.power(f))).collect();
+        for size in [1, 63, 64, 65, 129] {
+            let set = PatternSet {
+                filled: filled[..size].to_vec(),
+                ..PatternSet::default()
+            };
+            for threads in [1, 3] {
+                let profile = an.power_profile_on(Executor::with_threads(threads), &set);
+                let got: Vec<Vec<u64>> = profile.iter().map(bits).collect();
+                assert_eq!(got, single[..size], "{size} patterns, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl<'a> ScapCalculator<'a> {
 mod tests {
     use super::*;
     use scap_netlist::{CellKind, ClockEdge, FlopId, NetlistBuilder};
-    use scap_sim::EventSim;
+    use scap_sim::{EventSim, SimTable};
 
     fn chain() -> Netlist {
         let mut b = NetlistBuilder::new("c");
@@ -201,7 +201,8 @@ mod tests {
     }
 
     fn trace(n: &Netlist, ann: &DelayAnnotation) -> ToggleTrace {
-        let sim = EventSim::new(n, ann);
+        let table = SimTable::build(n);
+        let sim = EventSim::new(&table, ann);
         // frame1: all zero is stable? q0=0 -> w=1, d1=0, d0=0. Build that.
         let mut frame1 = vec![false; n.num_nets()];
         frame1[1] = true; // w
@@ -260,7 +261,8 @@ mod tests {
     fn quiescent_pattern_yields_zero_scap_not_nan() {
         let n = chain();
         let ann = DelayAnnotation::unit_wire(&n);
-        let sim = EventSim::new(&n, &ann);
+        let table = SimTable::build(&n);
+        let sim = EventSim::new(&table, &ann);
         // A stable frame with no flop launch events: nothing toggles.
         let mut frame = vec![false; n.num_nets()];
         frame[1] = true; // w = !q0 is the settled value

@@ -10,9 +10,21 @@
 //! resulting [`ToggleTrace`] is the input to the SCAP calculator and to
 //! dynamic IR-drop analysis, and its latest event defines the pattern's
 //! **switching time window (STW)**.
+//!
+//! The kernel runs on the flattened [`SimTable`]: fanout gates come from
+//! its CSR arrays (the netlist's per-net fanout order, so events are
+//! scheduled in the same order), gates are evaluated through its truth
+//! tables, and the per-gate rise/fall delays are converted to integer
+//! femtoseconds once, when the simulator is built. Queue entries are
+//! single packed `u128` keys that pop in `(time, sequence)` order, and
+//! inertially cancelled entries are flagged in a vector indexed by
+//! sequence number. [`EventScratch`] holds the working set so a pattern
+//! loop allocates it once.
 
-use scap_netlist::{FlopId, NetId, Netlist};
+use crate::SimTable;
+use scap_netlist::{FlopId, GateId, Logic, NetId};
 use scap_timing::DelayAnnotation;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// One net transition.
@@ -33,6 +45,7 @@ pub struct ToggleTrace {
     /// All transitions, in non-decreasing time order.
     pub events: Vec<ToggleEvent>,
     last_change_ps: Vec<f64>,
+    truncated: bool,
 }
 
 impl ToggleTrace {
@@ -53,6 +66,15 @@ impl ToggleTrace {
         self.events.len()
     }
 
+    /// `true` when the run stopped at the simulator's event budget with
+    /// live events still queued. The trace is then only a prefix of the
+    /// pattern's activity, so its STW, toggle counts and switched energy
+    /// are lower bounds, not measurements. Each such run also adds one to
+    /// the `sim.event_truncations` counter.
+    pub fn truncated(&self) -> bool {
+        self.truncated
+    }
+
     /// Rising / falling transition counts per net.
     pub fn toggle_counts(&self, num_nets: usize) -> Vec<(u32, u32)> {
         let mut counts = vec![(0u32, 0u32); num_nets];
@@ -68,40 +90,43 @@ impl ToggleTrace {
     }
 }
 
-#[derive(PartialEq)]
-struct QueuedEvent {
-    time_fs: u64,
-    seq: u64,
-    net: NetId,
-    value: bool,
+/// A queued event packed as `time_fs << 64 | seq << 32 | value << 31 |
+/// net`: integer order is `(time, seq)` order, and `seq` is unique.
+type Key = u128;
+
+const NET_MASK: u32 = (1 << 31) - 1;
+
+#[inline]
+fn pack(time_fs: u64, seq: u32, net: u32, value: bool) -> Key {
+    (Key::from(time_fs) << 64) | (Key::from(seq) << 32) | (Key::from(value) << 31) | Key::from(net)
+}
+
+#[inline]
+fn seq_of(key: Key) -> u32 {
+    (key >> 32) as u32
 }
 
 /// The latest still-pending scheduled event per net, for inertial
 /// (pulse-filtering) delay semantics.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 struct Pending {
     time_fs: u64,
+    seq: u32,
     value: bool,
-    seq: u64,
 }
 
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap via reversal.
-        other
-            .time_fs
-            .cmp(&self.time_fs)
-            .then(other.seq.cmp(&self.seq))
-    }
+/// Working buffers of [`EventSim::run_with`]. Reusable across runs and
+/// simulators; nothing in it carries over from one run to the next.
+#[derive(Debug, Default)]
+pub struct EventScratch {
+    value: Vec<Logic>,
+    pending: Vec<Option<Pending>>,
+    queue: BinaryHeap<Reverse<Key>>,
+    /// Indexed by sequence number: the entry was swallowed inertially.
+    cancelled: Vec<bool>,
 }
 
-/// Event-driven simulator bound to a netlist + delay annotation.
+/// Event-driven simulator bound to a [`SimTable`] + delay annotation.
 ///
 /// # Example
 ///
@@ -109,8 +134,9 @@ impl Ord for QueuedEvent {
 /// # use scap_netlist::{Netlist, FlopId};
 /// # use scap_timing::DelayAnnotation;
 /// # fn demo(netlist: &Netlist, ann: &DelayAnnotation, frame1: Vec<bool>) {
-/// use scap_sim::EventSim;
-/// let sim = EventSim::new(netlist, ann);
+/// use scap_sim::{EventSim, SimTable};
+/// let table = SimTable::build(netlist);
+/// let sim = EventSim::new(&table, ann);
 /// // ff0 launches a rising edge 450 ps after the root clock edge:
 /// let trace = sim.run(&frame1, &[(FlopId::new(0), true, 450.0)]);
 /// println!("STW = {} ps, {} toggles", trace.stw_ps(), trace.num_toggles());
@@ -118,8 +144,12 @@ impl Ord for QueuedEvent {
 /// ```
 #[derive(Debug)]
 pub struct EventSim<'a> {
-    netlist: &'a Netlist,
-    annotation: &'a DelayAnnotation,
+    table: &'a SimTable,
+    /// Per-gate delays in fs, `[fall, rise]` at `2 * g + rising`.
+    delay_fs: Vec<u64>,
+    /// Sequence numbers stay below this, so one more fanout's pushes
+    /// cannot overflow the key's 32-bit field.
+    seq_cap: u32,
     /// Hard cap on processed events, to bound pathological reconvergence.
     max_events: usize,
     /// Inertial-delay semantics: output pulses narrower than the driving
@@ -131,11 +161,36 @@ pub struct EventSim<'a> {
 impl<'a> EventSim<'a> {
     /// Creates a simulator with inertial delays and a default event budget
     /// of `64 × nets`.
-    pub fn new(netlist: &'a Netlist, annotation: &'a DelayAnnotation) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `annotation` does not have one delay per gate of `table`,
+    /// or the table has 2³¹ nets or more.
+    pub fn new(table: &'a SimTable, annotation: &DelayAnnotation) -> Self {
+        assert_eq!(
+            annotation.num_gates(),
+            table.num_gates(),
+            "one delay per gate"
+        );
+        assert!(
+            table.num_nets() <= NET_MASK as usize,
+            "net ids must fit 31 bits"
+        );
+        let delay_fs = (0..table.num_gates() as u32)
+            .flat_map(|g| {
+                let g = GateId::new(g);
+                [annotation.gate_fall_ps(g), annotation.gate_rise_ps(g)].map(ps_to_fs)
+            })
+            .collect();
+        let max_fanout = (0..table.num_nets())
+            .map(|n| table.fanout(n).len())
+            .max()
+            .unwrap_or(0);
         EventSim {
-            netlist,
-            annotation,
-            max_events: netlist.num_nets().saturating_mul(64).max(1 << 16),
+            table,
+            delay_fs,
+            seq_cap: u32::MAX - max_fanout as u32,
+            max_events: table.num_nets().saturating_mul(64).max(1 << 16),
             inertial: true,
         }
     }
@@ -167,106 +222,125 @@ impl<'a> EventSim<'a> {
     ///
     /// Panics if `frame1.len()` differs from the net count.
     pub fn run(&self, frame1: &[bool], launches: &[(FlopId, bool, f64)]) -> ToggleTrace {
-        let n = self.netlist;
-        assert_eq!(frame1.len(), n.num_nets(), "one value per net");
-        let mut value = frame1.to_vec();
-        let mut last_change = vec![-1.0f64; n.num_nets()];
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut pending: Vec<Option<Pending>> = vec![None; n.num_nets()];
-        let mut cancelled: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        self.run_with(&mut EventScratch::default(), frame1, launches)
+    }
+
+    /// [`EventSim::run`] on caller-owned working buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame1.len()` differs from the net count.
+    pub fn run_with(
+        &self,
+        scratch: &mut EventScratch,
+        frame1: &[bool],
+        launches: &[(FlopId, bool, f64)],
+    ) -> ToggleTrace {
+        let t = self.table;
+        let num_nets = t.num_nets();
+        assert_eq!(frame1.len(), num_nets, "one value per net");
+        assert!(launches.len() < self.seq_cap as usize, "too many launches");
+        let EventScratch {
+            value,
+            pending,
+            queue,
+            cancelled,
+        } = scratch;
+        value.clear();
+        value.extend(frame1.iter().map(|&b| Logic::from(b)));
+        pending.clear();
+        pending.resize(num_nets, None);
+        queue.clear();
+        cancelled.clear();
+        let mut last_change = vec![-1.0f64; num_nets];
+        let mut events = Vec::new();
+        let mut seq = 0u32;
         for &(flop, val, t_ps) in launches {
-            let q = n.flop(flop).q;
-            heap.push(QueuedEvent {
-                time_fs: ps_to_fs(t_ps),
+            let q = t.flop_q()[flop.index()];
+            let time_fs = ps_to_fs(t_ps);
+            queue.push(Reverse(pack(time_fs, seq, q, val)));
+            cancelled.push(false);
+            pending[q as usize] = Some(Pending {
+                time_fs,
                 seq,
-                net: q,
                 value: val,
-            });
-            pending[q.index()] = Some(Pending {
-                time_fs: ps_to_fs(t_ps),
-                value: val,
-                seq,
             });
             seq += 1;
         }
-        let mut events = Vec::new();
         let mut processed = 0usize;
-        while let Some(ev) = heap.pop() {
-            if processed >= self.max_events {
+        let mut truncated = false;
+        while let Some(Reverse(key)) = queue.pop() {
+            let ev_seq = seq_of(key);
+            if processed >= self.max_events || seq >= self.seq_cap {
+                let live = |s: u32| !(self.inertial && cancelled[s as usize]);
+                truncated = live(ev_seq) || queue.iter().any(|&Reverse(k)| live(seq_of(k)));
                 break;
             }
-            if self.inertial && cancelled.remove(&ev.seq) {
+            if self.inertial && cancelled[ev_seq as usize] {
                 continue; // swallowed pulse edge
             }
             processed += 1;
-            let idx = ev.net.index();
-            if pending[idx].is_some_and(|p| p.seq == ev.seq) {
+            let time_fs = (key >> 64) as u64;
+            let rising = (key >> 31) & 1 == 1;
+            let idx = (key as u32 & NET_MASK) as usize;
+            if pending[idx].is_some_and(|p| p.seq == ev_seq) {
                 pending[idx] = None;
             }
-            if value[idx] == ev.value {
+            let new = Logic::from(rising);
+            if value[idx] == new {
                 continue; // no change
             }
-            value[idx] = ev.value;
-            let t_ps = fs_to_ps(ev.time_fs);
+            value[idx] = new;
+            let t_ps = fs_to_ps(time_fs);
             last_change[idx] = t_ps;
             events.push(ToggleEvent {
                 time_ps: t_ps,
-                net: ev.net,
-                rising: ev.value,
+                net: NetId::new(idx as u32),
+                rising,
             });
-            for &g in n.fanout_gates(ev.net) {
-                let gate = n.gate(g);
-                let mut ins = [0u64; 4];
-                for (k, &inp) in gate.inputs.iter().enumerate() {
-                    ins[k] = u64::from(value[inp.index()]);
-                }
-                let out = gate.kind.eval_word(&ins[..gate.inputs.len()]) & 1 == 1;
-                let delay_ps = if out {
-                    self.annotation.gate_rise_ps(g)
-                } else {
-                    self.annotation.gate_fall_ps(g)
-                };
-                let at = ev.time_fs + ps_to_fs(delay_ps);
-                let out_idx = gate.output.index();
+            for &g in t.fanout(idx) {
+                let g = g as usize;
+                let out = t.eval_plane(g, value) == Logic::One;
+                let delay_fs = self.delay_fs[2 * g + usize::from(out)];
+                let at = time_fs.saturating_add(delay_fs);
+                let out_net = t.output(g);
+                let slot = &mut pending[out_net as usize];
                 if self.inertial {
-                    if let Some(p) = pending[out_idx] {
-                        if p.time_fs >= ev.time_fs {
+                    if let Some(p) = *slot {
+                        if p.time_fs >= time_fs {
                             if p.value == out {
                                 continue; // already heading to this value
                             }
-                            if at.saturating_sub(p.time_fs) < ps_to_fs(delay_ps) {
+                            if at.saturating_sub(p.time_fs) < delay_fs {
                                 // The pulse between the pending edge and
                                 // this one is narrower than the gate can
                                 // pass: swallow both edges.
-                                cancelled.insert(p.seq);
-                                pending[out_idx] = None;
+                                cancelled[p.seq as usize] = true;
+                                *slot = None;
                                 continue;
                             }
                         }
                     }
                 }
-                heap.push(QueuedEvent {
+                queue.push(Reverse(pack(at, seq, out_net, out)));
+                cancelled.push(false);
+                *slot = Some(Pending {
                     time_fs: at,
                     seq,
-                    net: gate.output,
                     value: out,
-                });
-                pending[out_idx] = Some(Pending {
-                    time_fs: at,
-                    value: out,
-                    seq,
                 });
                 seq += 1;
             }
         }
         scap_obs::counter!("sim.event_runs").incr();
         scap_obs::counter!("sim.toggle_events").add(events.len() as u64);
-        // The heap pops in time order but pushes during processing keep it
-        // correct; events are therefore already time-sorted.
+        scap_obs::counter!("sim.event_truncations").add(u64::from(truncated));
+        // The queue pops in time order and every push lands at or after
+        // the popped time, so events are already time-sorted.
         ToggleTrace {
             events,
             last_change_ps: last_change,
+            truncated,
         }
     }
 }
@@ -285,7 +359,7 @@ fn fs_to_ps(fs: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::{LaunchMode, LaunchModel, SimTable};
-    use scap_netlist::{CellKind, ClockEdge, ClockId, GateId, NetlistBuilder};
+    use scap_netlist::{CellKind, ClockEdge, ClockId, GateId, Netlist, NetlistBuilder};
 
     /// ff0 -> inv -> inv -> ff1 (chain of 2 inverters).
     fn chain() -> Netlist {
@@ -319,7 +393,8 @@ mod tests {
     fn transition_ripples_down_the_chain() {
         let n = chain();
         let ann = DelayAnnotation::unit_wire(&n);
-        let sim = EventSim::new(&n, &ann);
+        let table = SimTable::build(&n);
+        let sim = EventSim::new(&table, &ann);
         let frame1 = stable_frame1(&n, false);
         let trace = sim.run(&frame1, &[(FlopId::new(0), true, 500.0)]);
         // q0, w, d1 and d0 all toggle: 4 events.
@@ -340,7 +415,8 @@ mod tests {
     fn no_launch_means_quiescent_trace() {
         let n = chain();
         let ann = DelayAnnotation::unit_wire(&n);
-        let sim = EventSim::new(&n, &ann);
+        let table = SimTable::build(&n);
+        let sim = EventSim::new(&table, &ann);
         let frame1 = stable_frame1(&n, false);
         let trace = sim.run(&frame1, &[]);
         assert_eq!(trace.num_toggles(), 0);
@@ -352,7 +428,8 @@ mod tests {
     fn launch_to_current_value_is_ignored() {
         let n = chain();
         let ann = DelayAnnotation::unit_wire(&n);
-        let sim = EventSim::new(&n, &ann);
+        let table = SimTable::build(&n);
+        let sim = EventSim::new(&table, &ann);
         let frame1 = stable_frame1(&n, true);
         // q0 is already 1; "launching" 1 changes nothing.
         let trace = sim.run(&frame1, &[(FlopId::new(0), true, 500.0)]);
@@ -384,7 +461,8 @@ mod tests {
             .unwrap();
         let n = b.finish().unwrap();
         let ann = DelayAnnotation::unit_wire(&n);
-        let sim = EventSim::new(&n, &ann);
+        let table = SimTable::build(&n);
+        let sim = EventSim::new(&table, &ann);
         // frame1: q0 = 0, q1 = 0 -> y = 0. Launch both rising at t = 500.
         let frame1 = vec![false; n.num_nets()];
         let trace = sim.run(
@@ -407,13 +485,14 @@ mod tests {
         // 40 ps pulse on q0, far below the buffer delay.
         let n = chain();
         let ann = DelayAnnotation::unit_wire(&n);
+        let table = SimTable::build(&n);
         let frame1 = stable_frame1(&n, false);
         let pulse = [
             (FlopId::new(0), true, 500.0),
             (FlopId::new(0), false, 540.0),
         ];
-        let inertial = EventSim::new(&n, &ann).run(&frame1, &pulse);
-        let transport = EventSim::new(&n, &ann)
+        let inertial = EventSim::new(&table, &ann).run(&frame1, &pulse);
+        let transport = EventSim::new(&table, &ann)
             .with_transport_delays()
             .run(&frame1, &pulse);
         let w = n.gate(GateId::new(0)).output;
@@ -429,9 +508,24 @@ mod tests {
     fn event_budget_caps_runaway() {
         let n = chain();
         let ann = DelayAnnotation::unit_wire(&n);
-        let sim = EventSim::new(&n, &ann).with_max_events(1);
+        let table = SimTable::build(&n);
         let frame1 = stable_frame1(&n, false);
-        let trace = sim.run(&frame1, &[(FlopId::new(0), true, 0.0)]);
+        let launch = [(FlopId::new(0), true, 0.0)];
+        scap_obs::set_enabled(true);
+        let truncations = || {
+            scap_obs::snapshot()
+                .counter("sim.event_truncations")
+                .unwrap_or(0)
+        };
+        let before = truncations();
+        let trace = EventSim::new(&table, &ann)
+            .with_max_events(1)
+            .run(&frame1, &launch);
         assert!(trace.num_toggles() <= 1);
+        assert!(trace.truncated(), "a budget-cut trace must say so");
+        assert!(truncations() > before, "and must be counted");
+        let full = EventSim::new(&table, &ann).run(&frame1, &launch);
+        assert!(!full.truncated());
+        assert_eq!(full.num_toggles(), 4);
     }
 }

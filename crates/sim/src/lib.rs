@@ -13,9 +13,10 @@
 //! * [`TransitionFaultSim`] — PPSFP transition-delay-fault simulation over
 //!   64-pattern [`PatternBlock`]s with fault dropping (drives coverage
 //!   curves and dynamic compaction),
-//! * [`EventSim`] — event-driven gate-level timing simulation producing a
-//!   [`ToggleTrace`] (the VCD substitute) and the per-pattern switching
-//!   time window (STW) that defines SCAP.
+//! * [`EventSim`] — event-driven gate-level timing simulation on the same
+//!   [`SimTable`], producing a [`ToggleTrace`] (the VCD substitute) and
+//!   the per-pattern switching time window (STW) that defines SCAP; an
+//!   [`EventScratch`] carries its working set across a pattern loop.
 //!
 //! # Example
 //!
@@ -51,7 +52,7 @@ mod logic_sim;
 mod sched;
 mod table;
 
-pub use event::{EventSim, ToggleEvent, ToggleTrace};
+pub use event::{EventScratch, EventSim, ToggleEvent, ToggleTrace};
 pub use fault::{CollapseMap, FaultList, FaultSite, Polarity, TransitionFault};
 pub use fault_sim::{DetectionSummary, PatternBlock, PropagationScratch, TransitionFaultSim};
 pub use loc::{Frames, LaunchMode, LaunchModel, State2Src};

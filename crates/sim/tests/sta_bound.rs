@@ -101,7 +101,8 @@ proptest! {
             .map(|_| if rng.gen() { Logic::One } else { Logic::Zero })
             .collect();
         let launch = LaunchModel::new(&n, ClockId::new(0), LaunchMode::Capture);
-        let frames = SimTable::build(&n).frames(&launch, &load, &pi);
+        let table = SimTable::build(&n);
+        let frames = table.frames(&launch, &load, &pi);
         let frame1: Vec<bool> = frames
             .frame1
             .iter()
@@ -116,7 +117,7 @@ proptest! {
                 launches.push((f, new_q, t_clk + ann.flop_clk_to_q_ps(f)));
             }
         }
-        let trace = EventSim::new(&n, &ann).run(&frame1, &launches);
+        let trace = EventSim::new(&table, &ann).run(&frame1, &launches);
 
         for i in 0..n.num_nets() {
             let net = NetId::new(i as u32);

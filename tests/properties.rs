@@ -213,7 +213,8 @@ proptest! {
         let launch = LaunchModel::new(&n, scap::netlist::ClockId::new(0), LaunchMode::Capture);
         let loads: Vec<u64> = (0..n.num_flops()).map(|_| rng.gen::<u64>() & 1).collect();
         let pis: Vec<u64> = (0..n.primary_inputs().len()).map(|_| rng.gen::<u64>() & 1).collect();
-        let frames = SimTable::build(&n).frames(&launch, &loads, &pis);
+        let table = SimTable::build(&n);
+        let frames = table.frames(&launch, &loads, &pis);
         let frame1: Vec<bool> = frames.frame1.iter().map(|w| w & 1 == 1).collect();
         let launches: Vec<(scap::netlist::FlopId, bool, f64)> = n
             .flops()
@@ -222,8 +223,8 @@ proptest! {
             .filter(|(i, _)| (frames.state2[*i] ^ loads[*i]) & 1 == 1)
             .map(|(i, _)| (scap::netlist::FlopId::new(i as u32), frames.state2[i] & 1 == 1, 500.0))
             .collect();
-        let inertial = EventSim::new(&n, &ann).run(&frame1, &launches);
-        let transport = EventSim::new(&n, &ann)
+        let inertial = EventSim::new(&table, &ann).run(&frame1, &launches);
+        let transport = EventSim::new(&table, &ann)
             .with_transport_delays()
             .run(&frame1, &launches);
         // (c) inertial filters, never adds.

@@ -207,15 +207,23 @@ fn random_netlist(seed: u64, flops: usize, gates: usize) -> Netlist {
     b.finish().unwrap()
 }
 
-/// Random per-gate rise/fall delays (distinct, with sub-ps fractions, so
-/// the femtosecond rounding is exercised) and a random stable frame 1.
+/// Random per-gate rise/fall delays and a random stable frame 1. Half
+/// the seeds draw distinct delays with sub-ps fractions, so the
+/// femtosecond rounding is exercised; the other half draw from a few
+/// round values, so events coincide in time and the inertial filter's
+/// boundary cases (a pending edge at exactly the current time) occur.
 fn random_delays_and_frame(n: &Netlist, seed: u64) -> (DelayAnnotation, Vec<bool>) {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut ann = DelayAnnotation::unit_wire(n);
+    let round = seed.is_multiple_of(2);
     let (rise, fall, _) = ann.delays_mut();
     for d in rise.iter_mut().chain(fall.iter_mut()) {
-        *d = rng.gen_range(3.0..60.0);
+        *d = if round {
+            [5.0, 10.0, 15.0, 20.0][rng.gen_range(0..4)]
+        } else {
+            rng.gen_range(3.0..60.0)
+        };
     }
     let table = SimTable::build(n);
     let load: Vec<u64> = (0..n.num_flops()).map(|_| rng.gen::<u64>() & 1).collect();
@@ -237,7 +245,7 @@ fn random_launches(n: &Netlist, frame1: &[bool], seed: u64) -> Vec<(FlopId, bool
             continue;
         }
         let id = FlopId::new(i as u32);
-        let t = rng.gen_range(100.0..400.0);
+        let t = 100.0 + 5.0 * f64::from(rng.gen_range(0..60u32));
         launches.push((id, !frame1[f.q.index()], t));
         if rng.gen_bool(0.4) {
             // A second edge 1–80 ps later: a pulse on Q that the first
@@ -276,7 +284,7 @@ fn assert_matches_reference(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The table kernel reproduces the reference simulator's events and
     /// last-change times exactly, under both delay semantics. One scratch

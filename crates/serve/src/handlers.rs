@@ -24,42 +24,11 @@ pub enum FlowKind {
 }
 
 impl FlowKind {
-    fn parse(raw: Option<&str>) -> Result<Self, String> {
-        match raw {
-            None | Some("noise-aware") => Ok(FlowKind::NoiseAware),
-            Some("conventional") => Ok(FlowKind::Conventional),
-            Some(other) => Err(format!(
-                "flow expects 'conventional' or 'noise-aware', got '{other}'"
-            )),
-        }
-    }
-
     fn label(self) -> &'static str {
         match self {
             FlowKind::Conventional => "conventional",
             FlowKind::NoiseAware => "noise-aware",
         }
-    }
-}
-
-fn parse_fill(raw: Option<&str>) -> Result<Option<FillPolicy>, String> {
-    match raw {
-        None => Ok(None),
-        Some("random-fill") | Some("random") => Ok(Some(FillPolicy::Random)),
-        Some("fill-0") => Ok(Some(FillPolicy::Zero)),
-        Some("fill-1") => Ok(Some(FillPolicy::One)),
-        Some("fill-adjacent") => Ok(Some(FillPolicy::Adjacent)),
-        Some(other) => Err(format!(
-            "fill expects random-fill|fill-0|fill-1|fill-adjacent, got '{other}'"
-        )),
-    }
-}
-
-fn parse_engine(raw: Option<&str>) -> Result<EngineKind, String> {
-    match raw {
-        None => Ok(EngineKind::Podem),
-        Some(s) => EngineKind::parse(s)
-            .ok_or_else(|| format!("engine expects podem|sat|hybrid, got '{s}'")),
     }
 }
 
@@ -69,6 +38,83 @@ fn fill_label(fill: FillPolicy) -> &'static str {
         FillPolicy::Zero => "fill-0",
         FillPolicy::One => "fill-1",
         FillPolicy::Adjacent => "fill-adjacent",
+    }
+}
+
+/// The ATPG flow a request runs: which flow, its fill policy and its
+/// primary engine. Shared by `/v1/profile`, `/v1/schedule` and the
+/// `scap atpg|profile|schedule` subcommands.
+#[derive(Clone, Copy, Debug)]
+pub struct FlowParams {
+    /// Which flow.
+    pub flow: FlowKind,
+    /// Fill policy: the request's, or the flow's own (random fill for
+    /// the conventional flow, fill-0 for the noise-aware one).
+    pub fill: FillPolicy,
+    /// Primary ATPG engine (`podem`, `sat` or `hybrid`; `podem` by
+    /// default).
+    pub engine: EngineKind,
+}
+
+impl FlowParams {
+    /// Every parameter name [`FlowParams::parse`] reads.
+    pub const NAMES: &'static [&'static str] = &["flow", "fill", "engine"];
+
+    /// Validates the flow, fill and engine parameters.
+    pub fn parse(args: &Args) -> Result<Self, String> {
+        let flow = match args.get("flow") {
+            None | Some("noise-aware") => FlowKind::NoiseAware,
+            Some("conventional") => FlowKind::Conventional,
+            Some(other) => {
+                return Err(format!(
+                    "flow expects 'conventional' or 'noise-aware', got '{other}'"
+                ))
+            }
+        };
+        let fill = match args.get("fill") {
+            None => match flow {
+                FlowKind::Conventional => FillPolicy::Random,
+                FlowKind::NoiseAware => FillPolicy::Zero,
+            },
+            Some("random-fill") | Some("random") => FillPolicy::Random,
+            Some("fill-0") => FillPolicy::Zero,
+            Some("fill-1") => FillPolicy::One,
+            Some("fill-adjacent") => FillPolicy::Adjacent,
+            Some(other) => {
+                return Err(format!(
+                    "fill expects random-fill|fill-0|fill-1|fill-adjacent, got '{other}'"
+                ))
+            }
+        };
+        let engine = match args.get("engine") {
+            None => EngineKind::Podem,
+            Some(s) => EngineKind::parse(s)
+                .ok_or_else(|| format!("engine expects podem|sat|hybrid, got '{s}'"))?,
+        };
+        Ok(FlowParams { flow, fill, engine })
+    }
+
+    /// Runs the flow on a study.
+    pub fn run(&self, study: &CaseStudy) -> flows::FlowResult {
+        let config = flows::flow_atpg_config_with_engine(self.fill, self.engine);
+        match self.flow {
+            FlowKind::Conventional => flows::conventional_with(study, config),
+            FlowKind::NoiseAware => {
+                flows::noise_aware_with(study, config, &flows::paper_stages(study))
+            }
+        }
+    }
+
+    /// Canonical key fragment. The fill keys on its effective policy: an
+    /// explicit `fill=fill-0` and the noise-aware flow's default are the
+    /// same computation, so they share a response-cache entry.
+    fn key_part(&self) -> String {
+        format!(
+            "{}|{}|{}",
+            self.flow.label(),
+            fill_label(self.fill),
+            self.engine.label()
+        )
     }
 }
 
@@ -82,7 +128,11 @@ pub struct CommonParams {
 }
 
 impl CommonParams {
-    fn parse(args: &Args) -> Result<Self, String> {
+    /// Every parameter name [`CommonParams::parse`] reads.
+    pub const NAMES: &'static [&'static str] = &["scale", "seed"];
+
+    /// Validates the scale and seed.
+    pub fn parse(args: &Args) -> Result<Self, String> {
         Ok(CommonParams {
             scale: args.scale()?,
             seed: args.seed()?,
@@ -96,22 +146,18 @@ impl CommonParams {
     }
 }
 
-fn reject_unknown(args: &Args, known: &[&str]) -> Result<(), String> {
-    let unknown = args.unknown_flags(known);
+/// Rejects every flag of `args` that no list in `known` names, so a
+/// typo fails loudly instead of silently defaulting. A request type's
+/// `parse` does not check this itself: each surface checks against the
+/// type's `NAMES` plus the flags the surface reads on its own (the
+/// server's `deadline_ms`, the CLI's presentation flags).
+pub fn reject_unknown(args: &Args, known: &[&[&str]]) -> Result<(), String> {
+    let unknown = args.unknown_flags(&known.concat());
     if unknown.is_empty() {
         Ok(())
     } else {
         Err(format!("unknown parameter(s): {}", unknown.join(", ")))
     }
-}
-
-/// Flags every pooled endpoint accepts on top of its own.
-const COMMON_KNOWN: &[&str] = &["scale", "seed", "deadline_ms"];
-
-fn with_common<'a>(extra: &[&'a str]) -> Vec<&'a str> {
-    let mut known: Vec<&'a str> = COMMON_KNOWN.to_vec();
-    known.extend_from_slice(extra);
-    known
 }
 
 // ---------------------------------------------------------------------
@@ -126,9 +172,11 @@ pub struct DesignParams {
 }
 
 impl DesignParams {
+    /// Every parameter name [`DesignParams::parse`] reads.
+    pub const NAMES: &'static [&'static str] = CommonParams::NAMES;
+
     /// Validates a request's parameters.
     pub fn parse(args: &Args) -> Result<Self, String> {
-        reject_unknown(args, &with_common(&[]))?;
         Ok(DesignParams {
             common: CommonParams::parse(args)?,
         })
@@ -188,9 +236,11 @@ pub struct LintParams {
 }
 
 impl LintParams {
+    /// Every parameter name [`LintParams::parse`] reads.
+    pub const NAMES: &'static [&'static str] = CommonParams::NAMES;
+
     /// Validates a request's parameters.
     pub fn parse(args: &Args) -> Result<Self, String> {
-        reject_unknown(args, &with_common(&[]))?;
         Ok(LintParams {
             common: CommonParams::parse(args)?,
         })
@@ -305,11 +355,15 @@ pub struct StaParams {
 }
 
 impl StaParams {
-    /// Validates a request's parameters.
+    /// Every parameter name [`StaParams::parse`] reads.
+    pub const NAMES: &'static [&'static str] = &["scale", "seed", "derate", "k", "paths"];
+
+    /// Validates a request's parameters. A bare `derate` (no value, as
+    /// in `derate&scale=…` or `--derate --metrics`) means `true`.
     pub fn parse(args: &Args) -> Result<Self, String> {
-        reject_unknown(args, &with_common(&["derate", "k", "paths"]))?;
         let derate = match args.get("derate") {
-            None | Some("false") | Some("0") => false,
+            None => args.has("derate"),
+            Some("false") | Some("0") => false,
             Some("true") | Some("1") | Some("") => true,
             Some(other) => return Err(format!("derate expects true or false, got '{other}'")),
         };
@@ -434,69 +488,35 @@ pub fn sta(cache: &DesignCache, p: &StaParams) -> Response {
 pub struct ProfileParams {
     /// Shared scale/seed pair.
     pub common: CommonParams,
-    /// Which flow to profile.
-    pub flow: FlowKind,
-    /// Fill policy override (the flow's default otherwise).
-    pub fill: Option<FillPolicy>,
-    /// Primary ATPG engine (`podem`, `sat` or `hybrid`).
-    pub engine: EngineKind,
+    /// Which flow to profile, with its fill and engine.
+    pub flow: FlowParams,
     /// Block to profile (the paper's hot block B5 by default).
     pub block: String,
 }
 
 impl ProfileParams {
+    /// Every parameter name [`ProfileParams::parse`] reads.
+    pub const NAMES: &'static [&'static str] =
+        &["scale", "seed", "flow", "fill", "engine", "block"];
+
     /// Validates a request's parameters.
     pub fn parse(args: &Args) -> Result<Self, String> {
-        reject_unknown(args, &with_common(&["flow", "fill", "engine", "block"]))?;
         Ok(ProfileParams {
             common: CommonParams::parse(args)?,
-            flow: FlowKind::parse(args.get("flow"))?,
-            fill: parse_fill(args.get("fill"))?,
-            engine: parse_engine(args.get("engine"))?,
+            flow: FlowParams::parse(args)?,
             block: args.get("block").unwrap_or("B5").to_owned(),
         })
     }
 
     /// Canonical response-cache key (see [`DesignParams::cache_key`]).
-    /// The fill keys on its *effective* policy: an explicit
-    /// `fill=fill-0` and the noise-aware flow's default are the same
-    /// computation, so they share an entry.
     pub fn cache_key(&self) -> String {
         format!(
-            "profile|{}|{}|{}|{}|{}",
+            "profile|{}|{}|{}",
             self.common.key_part(),
-            self.flow.label(),
-            fill_label(effective_fill(self.flow, self.fill)),
-            self.engine.label(),
+            self.flow.key_part(),
             self.block
         )
     }
-}
-
-fn run_flow(
-    study: &CaseStudy,
-    kind: FlowKind,
-    fill: Option<FillPolicy>,
-    engine: EngineKind,
-) -> flows::FlowResult {
-    match kind {
-        FlowKind::Conventional => flows::conventional_with(
-            study,
-            flows::flow_atpg_config_with_engine(fill.unwrap_or(FillPolicy::Random), engine),
-        ),
-        FlowKind::NoiseAware => flows::noise_aware_with(
-            study,
-            flows::flow_atpg_config_with_engine(fill.unwrap_or(FillPolicy::Zero), engine),
-            &flows::paper_stages(study),
-        ),
-    }
-}
-
-fn effective_fill(kind: FlowKind, fill: Option<FillPolicy>) -> FillPolicy {
-    fill.unwrap_or(match kind {
-        FlowKind::Conventional => FillPolicy::Random,
-        FlowKind::NoiseAware => FillPolicy::Zero,
-    })
 }
 
 /// Per-pattern SCAP of one block vs its screening threshold, with a
@@ -509,7 +529,7 @@ pub fn profile(cache: &DesignCache, p: &ProfileParams) -> Response {
     let Some(&threshold) = experiments::scap_thresholds(&study).get(block.index()) else {
         return Response::error(500, &format!("no screening threshold for '{}'", p.block));
     };
-    let flow = run_flow(&study, p.flow, p.fill, p.engine);
+    let flow = p.flow.run(&study);
     let series = experiments::scap_series(&study, &flow, block, threshold);
     let mut patterns = Arr::new();
     for (i, &mw) in series.scap_mw.iter().enumerate() {
@@ -522,9 +542,9 @@ pub fn profile(cache: &DesignCache, p: &ProfileParams) -> Response {
     let mut root = Obj::new();
     root.f64("scale", p.common.scale)
         .u64("seed", p.common.seed)
-        .str("flow", p.flow.label())
-        .str("fill", fill_label(effective_fill(p.flow, p.fill)))
-        .str("engine", p.engine.label())
+        .str("flow", p.flow.flow.label())
+        .str("fill", fill_label(p.flow.fill))
+        .str("engine", p.flow.engine.label())
         .str("block", &p.block)
         .f64("threshold_mw", threshold)
         .u64("patterns", series.scap_mw.len() as u64)
@@ -544,21 +564,20 @@ pub fn profile(cache: &DesignCache, p: &ProfileParams) -> Response {
 pub struct ScheduleParams {
     /// Shared scale/seed pair.
     pub common: CommonParams,
-    /// Which flow supplies the per-block tests.
-    pub flow: FlowKind,
-    /// Fill policy override.
-    pub fill: Option<FillPolicy>,
-    /// Primary ATPG engine (`podem`, `sat` or `hybrid`).
-    pub engine: EngineKind,
-    /// Session power budget, mW (2× the hottest block when absent —
-    /// the CLI's default).
+    /// Which flow supplies the per-block tests, with its fill and engine.
+    pub flow: FlowParams,
+    /// Session power budget, mW; see [`ScheduleParams::plan`] for the
+    /// default when absent.
     pub budget_mw: Option<f64>,
 }
 
 impl ScheduleParams {
+    /// Every parameter name [`ScheduleParams::parse`] reads.
+    pub const NAMES: &'static [&'static str] =
+        &["scale", "seed", "flow", "fill", "engine", "budget"];
+
     /// Validates a request's parameters.
     pub fn parse(args: &Args) -> Result<Self, String> {
-        reject_unknown(args, &with_common(&["flow", "fill", "engine", "budget"]))?;
         let budget_mw = args.f64_flag("budget")?;
         if let Some(b) = budget_mw {
             if b <= 0.0 {
@@ -567,9 +586,7 @@ impl ScheduleParams {
         }
         Ok(ScheduleParams {
             common: CommonParams::parse(args)?,
-            flow: FlowKind::parse(args.get("flow"))?,
-            fill: parse_fill(args.get("fill"))?,
-            engine: parse_engine(args.get("engine"))?,
+            flow: FlowParams::parse(args)?,
             budget_mw,
         })
     }
@@ -584,12 +601,25 @@ impl ScheduleParams {
             None => "-".to_owned(),
         };
         format!(
-            "schedule|{}|{}|{}|{}|{}",
+            "schedule|{}|{}|{}",
             self.common.key_part(),
-            self.flow.label(),
-            fill_label(effective_fill(self.flow, self.fill)),
-            self.engine.label(),
+            self.flow.key_part(),
             budget
+        )
+    }
+
+    /// Runs the flow and schedules its per-block tests. Returns the
+    /// budget used — the request's, or 2× the hottest block's test power
+    /// — the serial test length and the plan.
+    pub fn plan(&self, study: &CaseStudy) -> (f64, usize, schedule::Schedule) {
+        let tests = schedule::block_tests_from_flow(study, &self.flow.run(study));
+        let budget = self
+            .budget_mw
+            .unwrap_or_else(|| 2.0 * tests.iter().map(|t| t.power_mw).fold(0.0, f64::max));
+        (
+            budget,
+            schedule::serial_length(&tests),
+            schedule::schedule(&tests, budget),
         )
     }
 }
@@ -597,13 +627,7 @@ impl ScheduleParams {
 /// Power-constrained session scheduling of the flow's per-block tests.
 pub fn schedule(cache: &DesignCache, p: &ScheduleParams) -> Response {
     let study = cache.get_or_build(p.common.scale, p.common.seed);
-    let flow = run_flow(&study, p.flow, p.fill, p.engine);
-    let tests = schedule::block_tests_from_flow(&study, &flow);
-    let serial = schedule::serial_length(&tests);
-    let budget = p
-        .budget_mw
-        .unwrap_or_else(|| 2.0 * tests.iter().map(|t| t.power_mw).fold(0.0, f64::max));
-    let plan = schedule::schedule(&tests, budget);
+    let (budget, serial, plan) = p.plan(&study);
     let mut sessions = Arr::new();
     for s in &plan.sessions {
         let mut members = Arr::new();
@@ -623,8 +647,8 @@ pub fn schedule(cache: &DesignCache, p: &ScheduleParams) -> Response {
     let mut root = Obj::new();
     root.f64("scale", p.common.scale)
         .u64("seed", p.common.seed)
-        .str("flow", p.flow.label())
-        .str("engine", p.engine.label())
+        .str("flow", p.flow.flow.label())
+        .str("engine", p.flow.engine.label())
         .f64("budget_mw", budget)
         .u64("serial_length", serial as u64)
         .u64("scheduled_length", plan.total_length() as u64)
@@ -645,9 +669,11 @@ pub struct SleepParams {
 }
 
 impl SleepParams {
+    /// Every parameter name [`SleepParams::parse`] reads.
+    pub const NAMES: &'static [&'static str] = &["ms"];
+
     /// Validates a request's parameters.
     pub fn parse(args: &Args) -> Result<Self, String> {
-        reject_unknown(args, &["ms", "deadline_ms"])?;
         let raw = args.get("ms").unwrap_or("100");
         let ms = raw
             .parse::<u64>()
@@ -672,51 +698,68 @@ pub fn sleep(p: &SleepParams) -> Response {
 mod tests {
     use super::*;
 
+    fn flow(query: &str) -> Result<FlowParams, String> {
+        FlowParams::parse(&Args::from_query(query))
+    }
+
     #[test]
     fn flow_and_fill_parse_strictly() {
-        assert_eq!(FlowKind::parse(None).unwrap(), FlowKind::NoiseAware);
+        let p = flow("").unwrap();
+        assert_eq!((p.flow, p.fill), (FlowKind::NoiseAware, FillPolicy::Zero));
+        let p = flow("flow=conventional").unwrap();
         assert_eq!(
-            FlowKind::parse(Some("conventional")).unwrap(),
-            FlowKind::Conventional
+            (p.flow, p.fill),
+            (FlowKind::Conventional, FillPolicy::Random)
         );
-        assert!(FlowKind::parse(Some("fast")).is_err());
-        assert_eq!(parse_fill(Some("fill-1")).unwrap(), Some(FillPolicy::One));
-        assert!(parse_fill(Some("ones")).is_err());
+        assert!(flow("flow=fast").is_err());
+        assert_eq!(flow("fill=fill-1").unwrap().fill, FillPolicy::One);
+        assert!(flow("fill=ones").is_err());
+        assert!(flow("flow=conventional&fill=ones").is_err());
     }
 
     #[test]
     fn engine_parses_strictly_and_defaults_to_podem() {
-        assert_eq!(parse_engine(None).unwrap(), EngineKind::Podem);
-        assert_eq!(parse_engine(Some("hybrid")).unwrap(), EngineKind::Hybrid);
-        assert_eq!(parse_engine(Some("sat")).unwrap(), EngineKind::Sat);
-        assert!(parse_engine(Some("cnf")).is_err());
+        assert_eq!(flow("").unwrap().engine, EngineKind::Podem);
+        assert_eq!(flow("engine=hybrid").unwrap().engine, EngineKind::Hybrid);
+        assert_eq!(flow("engine=sat").unwrap().engine, EngineKind::Sat);
+        assert!(flow("engine=cnf").is_err());
         let p = ProfileParams::parse(&Args::from_query("engine=hybrid&flow=conventional")).unwrap();
-        assert_eq!(p.engine, EngineKind::Hybrid);
+        assert_eq!(p.flow.engine, EngineKind::Hybrid);
         let p = ScheduleParams::parse(&Args::from_query("engine=sat")).unwrap();
-        assert_eq!(p.engine, EngineKind::Sat);
+        assert_eq!(p.flow.engine, EngineKind::Sat);
     }
 
     #[test]
     fn unknown_parameters_are_rejected() {
         let args = Args::from_query("scale=0.01&sacle=0.02");
-        assert!(DesignParams::parse(&args).is_err());
+        assert_eq!(
+            reject_unknown(&args, &[DesignParams::NAMES]).unwrap_err(),
+            "unknown parameter(s): sacle"
+        );
         let args = Args::from_query("scale=0.01&seed=5&deadline_ms=100");
-        assert!(DesignParams::parse(&args).is_ok());
+        assert!(reject_unknown(&args, &[DesignParams::NAMES]).is_err());
+        assert!(reject_unknown(&args, &[DesignParams::NAMES, &["deadline_ms"]]).is_ok());
     }
 
     #[test]
     fn sta_params_parse_strictly() {
-        let p = StaParams::parse(&Args::from_query("")).unwrap();
+        let sta = |query: &str| StaParams::parse(&Args::from_query(query));
+        let p = sta("").unwrap();
         assert!(!p.derate);
         assert_eq!(p.k, 1.0);
         assert_eq!(p.paths, 3);
-        let p = StaParams::parse(&Args::from_query("derate=true&k=4.5&paths=10")).unwrap();
+        let p = sta("derate=true&k=4.5&paths=10").unwrap();
         assert!(p.derate);
         assert_eq!(p.k, 4.5);
         assert_eq!(p.paths, 10);
-        assert!(StaParams::parse(&Args::from_query("derate=maybe")).is_err());
-        assert!(StaParams::parse(&Args::from_query("k=-2")).is_err());
-        assert!(StaParams::parse(&Args::from_query("scael=0.01")).is_err());
+        // A bare key means true, like an empty value.
+        assert!(sta("scale=0.004&derate").unwrap().derate);
+        assert!(sta("derate=").unwrap().derate);
+        assert!(!sta("derate=false").unwrap().derate);
+        assert!(sta("derate=maybe").is_err());
+        assert!(sta("k=-2").is_err());
+        let args = Args::from_query("scael=0.01");
+        assert!(reject_unknown(&args, &[StaParams::NAMES]).is_err());
     }
 
     #[test]
@@ -726,7 +769,48 @@ mod tests {
         let args = Args::from_query("budget=1.5&flow=conventional&fill=random-fill");
         let p = ScheduleParams::parse(&args).unwrap();
         assert_eq!(p.budget_mw, Some(1.5));
-        assert_eq!(p.flow, FlowKind::Conventional);
+        assert_eq!(p.flow.flow, FlowKind::Conventional);
+    }
+
+    /// The response-cache keys, pinned: they key cached bodies on every
+    /// server, so a change to one is a change of the wire contract.
+    #[test]
+    fn cache_keys_are_stable() {
+        let q = Args::from_query;
+        let common = "3f70624dd2f1a9fc|5";
+        let args = q("scale=0.004&seed=5");
+        assert_eq!(
+            DesignParams::parse(&args).unwrap().cache_key(),
+            format!("design|{common}")
+        );
+        assert_eq!(
+            LintParams::parse(&args).unwrap().cache_key(),
+            format!("lint|{common}")
+        );
+        assert_eq!(
+            StaParams::parse(&q("scale=0.004&seed=5&derate&k=2&paths=4"))
+                .unwrap()
+                .cache_key(),
+            format!("sta|{common}|true|4000000000000000|4")
+        );
+        assert_eq!(
+            ProfileParams::parse(&q("scale=0.004&seed=5&fill=fill-0"))
+                .unwrap()
+                .cache_key(),
+            format!("profile|{common}|noise-aware|fill-0|podem|B5")
+        );
+        assert_eq!(
+            ScheduleParams::parse(&q("scale=0.004&seed=5&flow=conventional&engine=hybrid"))
+                .unwrap()
+                .cache_key(),
+            format!("schedule|{common}|conventional|random-fill|hybrid|-")
+        );
+        assert_eq!(
+            ScheduleParams::parse(&q("scale=0.004&seed=5&budget=2.5"))
+                .unwrap()
+                .cache_key(),
+            format!("schedule|{common}|noise-aware|fill-0|podem|4004000000000000")
+        );
     }
 
     #[test]

@@ -297,6 +297,20 @@ impl Route {
         }
     }
 
+    /// Every parameter the route's request type reads (inline routes
+    /// read none).
+    fn param_names(self) -> &'static [&'static str] {
+        match self {
+            Route::Healthz | Route::Metrics | Route::Shutdown => &[],
+            Route::Design => handlers::DesignParams::NAMES,
+            Route::Lint => handlers::LintParams::NAMES,
+            Route::Sta => handlers::StaParams::NAMES,
+            Route::Profile => handlers::ProfileParams::NAMES,
+            Route::Schedule => handlers::ScheduleParams::NAMES,
+            Route::Sleep => handlers::SleepParams::NAMES,
+        }
+    }
+
     fn span_name(self) -> &'static str {
         match self {
             Route::Healthz => "serve.handle.healthz",
@@ -361,6 +375,11 @@ fn pooled(ctx: &ServerCtx, route: Route, args: &Args) -> Response {
         Ok(d) => d,
         Err(msg) => return Response::error(400, &msg),
     };
+    // The request types leave unknown-name checks to each surface; the
+    // server's own parameter is `deadline_ms`.
+    if let Err(msg) = handlers::reject_unknown(args, &[route.param_names(), &["deadline_ms"]]) {
+        return Response::error(400, &msg);
+    }
     let cache = Arc::clone(&ctx.cache);
     let rc = Arc::clone(&ctx.respcache);
     // Analysis handlers are pure functions of their parameters, so each

@@ -104,8 +104,9 @@ impl Args {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
-    /// Flag names that are not in `known` — the server rejects these
-    /// with a `400` so typos fail loudly instead of silently defaulting.
+    /// Flag names that are not in `known` — both surfaces reject these
+    /// (a `400` on the wire, exit code 2 on the command line) so typos
+    /// fail loudly instead of silently defaulting.
     pub fn unknown_flags(&self, known: &[&str]) -> Vec<&str> {
         self.flags
             .iter()

@@ -46,4 +46,4 @@ mod sta;
 pub use annotation::DelayAnnotation;
 pub use clock_tree::{ClockArrivals, ClockTree, TreeBuffer};
 pub use slack::{RiskTier, SlackSta};
-pub use sta::{EndpointTiming, PathReport, Sta};
+pub use sta::{EndpointTiming, PathReport};

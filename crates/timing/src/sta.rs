@@ -1,7 +1,7 @@
-//! Static timing analysis: longest-path arrival per net and per endpoint.
+//! Report types of the static timing analysis ([`crate::SlackSta`]):
+//! per-endpoint timing and traced worst paths.
 
-use crate::{ClockArrivals, DelayAnnotation};
-use scap_netlist::{FlopId, Levelization, NetId, NetSource, Netlist};
+use scap_netlist::{FlopId, NetId, NetSource, Netlist};
 
 /// Timing of one capture endpoint (a flop D pin).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -20,146 +20,6 @@ impl EndpointTiming {
     #[inline]
     pub fn slack_ps(&self) -> f64 {
         self.required_ps - self.data_arrival_ps
-    }
-}
-
-/// Topological longest-path analysis under a [`DelayAnnotation`].
-///
-/// Launch model: every flop Q toggles at its clock arrival + clock-to-Q;
-/// primary inputs change at time 0 (the paper holds PIs constant during
-/// at-speed test, so they rarely dominate).
-///
-/// # Example
-///
-/// ```no_run
-/// # use scap_netlist::{Netlist, ClockId, Floorplan};
-/// # fn demo(netlist: &Netlist, floorplan: &Floorplan) {
-/// use scap_timing::{ClockTree, DelayAnnotation, Sta};
-/// let ann = DelayAnnotation::extract(netlist, floorplan);
-/// let tree = ClockTree::synthesize(netlist, floorplan, ClockId::new(0));
-/// let sta = Sta::run(netlist, &ann, &tree.arrivals());
-/// let wns = sta.endpoints().iter().map(|e| e.slack_ps()).fold(f64::MAX, f64::min);
-/// println!("WNS = {wns} ps");
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct Sta {
-    arrival_ps: Vec<f64>,
-    endpoints: Vec<EndpointTiming>,
-}
-
-impl Sta {
-    /// Runs longest-path STA for the domain covered by `clock_arrivals`.
-    ///
-    /// Flops outside the domain are treated as launching at time 0 and are
-    /// not reported as endpoints.
-    pub fn run(
-        netlist: &Netlist,
-        annotation: &DelayAnnotation,
-        clock_arrivals: &ClockArrivals,
-    ) -> Self {
-        let lv = Levelization::build(netlist);
-        let mut arrival_ps = vec![0.0f64; netlist.num_nets()];
-        // Launch times at flop Q nets.
-        for (f, t_clk) in clock_arrivals.iter() {
-            let ff = netlist.flop(f);
-            arrival_ps[ff.q.index()] = t_clk + annotation.flop_clk_to_q_ps(f);
-        }
-        for &g in lv.order() {
-            let gate = netlist.gate(g);
-            let worst_in = gate
-                .inputs
-                .iter()
-                .map(|n| arrival_ps[n.index()])
-                .fold(0.0f64, f64::max);
-            arrival_ps[gate.output.index()] = worst_in + annotation.gate_delay_ps(g);
-        }
-        let period_ps = clock_arrivals
-            .iter()
-            .next()
-            .map(|(f, _)| netlist.clock(netlist.flop(f).clock).period_ps())
-            .unwrap_or(0.0);
-        let setup = netlist.library.flop().setup_ps;
-        let endpoints = clock_arrivals
-            .iter()
-            .map(|(f, t_clk)| EndpointTiming {
-                flop: f,
-                data_arrival_ps: arrival_ps[netlist.flop(f).d.index()],
-                required_ps: t_clk + period_ps - setup,
-            })
-            .collect();
-        Sta {
-            arrival_ps,
-            endpoints,
-        }
-    }
-
-    /// Worst arrival time at a net, ps.
-    #[inline]
-    pub fn arrival_ps(&self, net: NetId) -> f64 {
-        self.arrival_ps[net.index()]
-    }
-
-    /// Endpoint report, one entry per in-domain flop.
-    pub fn endpoints(&self) -> &[EndpointTiming] {
-        &self.endpoints
-    }
-
-    /// Critical-path delay: the maximum data arrival over all endpoints, ps.
-    pub fn critical_path_ps(&self) -> f64 {
-        self.endpoints
-            .iter()
-            .map(|e| e.data_arrival_ps)
-            .fold(0.0, f64::max)
-    }
-
-    /// Worst negative slack over all endpoints (most-negative slack), or
-    /// `None` with no endpoints.
-    pub fn worst_slack_ps(&self) -> Option<f64> {
-        self.endpoints
-            .iter()
-            .map(|e| e.slack_ps())
-            .min_by(|a, b| a.partial_cmp(b).expect("slacks are finite"))
-    }
-
-    /// Marks nets on any path whose endpoint arrival equals the critical
-    /// path (within `tol_ps`). Used to pick "long path" patterns.
-    pub fn is_near_critical(&self, netlist: &Netlist, net: NetId, tol_ps: f64) -> bool {
-        // A net is near-critical if its arrival plus the remaining longest
-        // path to an endpoint is within tolerance; approximate with the
-        // arrival alone relative to the critical path.
-        let _ = netlist;
-        self.arrival_ps(net) + tol_ps >= self.critical_path_ps()
-    }
-
-    /// Traces the `count` worst paths: for each of the latest-arriving
-    /// endpoints, walks back through the max-arrival predecessor at every
-    /// gate until a launch point (flop Q, primary input or constant).
-    ///
-    /// Fully deterministic: endpoints with equal arrivals are ordered by
-    /// flop id, and arrival ties during the walk-back resolve to the
-    /// lowest net id, so the report is byte-identical across runs and
-    /// thread counts.
-    pub fn worst_paths(&self, netlist: &Netlist, count: usize) -> Vec<PathReport> {
-        let mut order: Vec<&EndpointTiming> = self.endpoints.iter().collect();
-        order.sort_by(|a, b| {
-            b.data_arrival_ps
-                .total_cmp(&a.data_arrival_ps)
-                .then_with(|| a.flop.index().cmp(&b.flop.index()))
-        });
-        order
-            .into_iter()
-            .take(count)
-            .map(|ep| {
-                let nets = trace_path(netlist, |n| self.arrival_ps(n), ep.flop);
-                PathReport {
-                    endpoint: ep.flop,
-                    data_arrival_ps: ep.data_arrival_ps,
-                    slack_ps: ep.slack_ps(),
-                    nets,
-                }
-            })
-            .collect()
     }
 }
 
@@ -220,7 +80,7 @@ impl PathReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClockTree;
+    use crate::{ClockTree, DelayAnnotation, SlackSta};
     use scap_netlist::{
         CellKind, ClockEdge, ClockId, Die, Floorplan, NetlistBuilder, Placement, Point, Rect,
     };
@@ -263,7 +123,7 @@ mod tests {
         let (n, fp) = pipeline();
         let ann = DelayAnnotation::extract(&n, &fp);
         let tree = ClockTree::synthesize(&n, &fp, ClockId::new(0));
-        let sta = Sta::run(&n, &ann, &tree.arrivals());
+        let sta = SlackSta::run(&n, &ann, &tree.arrivals());
         // ff1's D input should arrive later than ff0's Q.
         let q0 = n.flop(FlopId::new(0)).q;
         let d1 = n.flop(FlopId::new(1)).d;
@@ -276,7 +136,7 @@ mod tests {
         let (n, fp) = pipeline();
         let ann = DelayAnnotation::extract(&n, &fp);
         let tree = ClockTree::synthesize(&n, &fp, ClockId::new(0));
-        let sta = Sta::run(&n, &ann, &tree.arrivals());
+        let sta = SlackSta::run(&n, &ann, &tree.arrivals());
         assert!(sta.worst_slack_ps().unwrap() > 0.0);
         assert!(sta.critical_path_ps() > 0.0);
     }
@@ -286,10 +146,10 @@ mod tests {
         let (n, fp) = pipeline();
         let ann = DelayAnnotation::extract(&n, &fp);
         let tree = ClockTree::synthesize(&n, &fp, ClockId::new(0));
-        let sta = Sta::run(&n, &ann, &tree.arrivals());
+        let sta = SlackSta::run(&n, &ann, &tree.arrivals());
         let paths = sta.worst_paths(&n, 2);
         assert_eq!(paths.len(), 2);
-        assert!(paths[0].data_arrival_ps >= paths[1].data_arrival_ps);
+        assert!(paths[0].slack_ps <= paths[1].slack_ps);
         // Arrivals increase along the path.
         let worst = &paths[0];
         assert!(worst.depth() >= 1);
@@ -302,8 +162,9 @@ mod tests {
 
     #[test]
     fn worst_paths_break_arrival_ties_by_flop_id() {
-        // Two flops capturing the same net arrive at exactly the same
-        // time; the report must list the lower flop id first, every run.
+        // Two flops capturing the same net at the same clock arrival have
+        // exactly the same data arrival and slack; the report must list
+        // the lower flop id first, every run.
         let mut b = NetlistBuilder::new("tie");
         let blk = b.add_block("B1");
         let clk = b.add_clock_domain("clka", 100e6);
@@ -331,9 +192,10 @@ mod tests {
         );
         let ann = DelayAnnotation::extract(&n, &fp);
         let tree = ClockTree::synthesize(&n, &fp, ClockId::new(0));
-        let sta = Sta::run(&n, &ann, &tree.arrivals());
+        let sta = SlackSta::run(&n, &ann, &tree.arrivals());
         let paths = sta.worst_paths(&n, 3);
         assert_eq!(paths[0].data_arrival_ps, paths[1].data_arrival_ps);
+        assert_eq!(paths[0].slack_ps, paths[1].slack_ps);
         assert!(paths[0].endpoint.index() < paths[1].endpoint.index());
     }
 
@@ -348,8 +210,8 @@ mod tests {
             &vec![0.3; n.num_flops()],
             n.library.k_volt_per_volt,
         );
-        let fast = Sta::run(&n, &ann, &tree.arrivals());
-        let slow = Sta::run(&n, &slow, &tree.arrivals());
+        let fast = SlackSta::run(&n, &ann, &tree.arrivals());
+        let slow = SlackSta::run(&n, &slow, &tree.arrivals());
         assert!(slow.worst_slack_ps().unwrap() < fast.worst_slack_ps().unwrap());
     }
 }

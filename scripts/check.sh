@@ -46,7 +46,19 @@ if [ "$fast" -eq 0 ]; then
         echo "expected --only with an unknown rule prefix to fail" >&2
         exit 1
     fi
-    echo "lint clean at scales 0.005 and 0.01; JSON output parses; --only filter works."
+    # A typo or a bad value is a usage error (exit 2), never a silent default.
+    for bad in "generate --sacle 0.004" \
+        "atpg --scale 0.004 --fill ones" \
+        "schedule --scale 0.004 --budget -5"; do
+        code=0
+        # shellcheck disable=SC2086 # word-split the invocation on purpose
+        ./target/release/scap $bad >/dev/null 2>&1 || code=$?
+        if [ "$code" -ne 2 ]; then
+            echo "expected 'scap $bad' to exit 2, got $code" >&2
+            exit 1
+        fi
+    done
+    echo "lint clean at scales 0.005 and 0.01; JSON output parses; --only filter works; bad flags exit 2."
 
     echo "== sta smoke (derated slack analysis, sta.* counters engaged) =="
     sta_out=$(./target/release/scap sta --scale 0.004 --derate --metrics)

@@ -85,10 +85,7 @@ pub struct PodemScratch {
     /// Cone gates in (level, id) topological order, for the faulty-plane
     /// sweep.
     cone_topo: Vec<u32>,
-    /// Cone gates in ascending id order, for the D-frontier scan (same
-    /// visit order as a whole-netlist scan restricted to the cone).
-    cone_by_id: Vec<u32>,
-    /// Observation points inside the cone.
+    /// Observation points inside the cone, in discovery order.
     cone_observed: Vec<NetId>,
     /// The fault site the cone structures describe.
     cone_site: Option<FaultSite>,
@@ -96,7 +93,14 @@ pub struct PodemScratch {
     xstamp: Vec<u32>,
     xepoch: u32,
     xstack: Vec<u32>,
+    /// Depth-first stack of the cone walk and the difference walk.
     work: Vec<u32>,
+    /// Difference-walk visited stamps per gate (valid where ==
+    /// `diff_epoch`).
+    diff_stamp: Vec<u32>,
+    diff_epoch: u32,
+    /// D-frontier candidates of the current objective, ascending gate id.
+    candidates: Vec<u32>,
     /// Undo log of plane writes since search entry, one packed word per
     /// write (see [`trail_entry`]). Backtracking restores from it
     /// instead of re-simulating the X-wipe of retracted decisions, and
@@ -379,6 +383,9 @@ impl<'a> Podem<'a> {
         s.xstamp.clear();
         s.xstamp.resize(netlist.num_nets(), 0);
         s.xepoch = 0;
+        s.diff_stamp.clear();
+        s.diff_stamp.resize(netlist.num_gates(), 0);
+        s.diff_epoch = 0;
         s.owner = Some(self.owner_token());
     }
 
@@ -624,11 +631,11 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Marks the output cone of `site` and builds the cone gate orders
-    /// and in-cone observation list. Only cone nets can ever carry a
-    /// good/faulty difference, so every downstream consumer (faulty
-    /// sweep, D-frontier scan, detection check, X-path) is restricted to
-    /// these structures.
+    /// Marks the output cone of `site` and builds the topological cone
+    /// gate order and the in-cone observation list. Only cone nets can
+    /// ever carry a good/faulty difference, so every downstream consumer
+    /// (faulty sweep, D-frontier walk, detection check, X-path) is
+    /// restricted to these structures.
     fn set_cone(&self, site: FaultSite, s: &mut PodemScratch) {
         let netlist = self.netlist;
         if s.cone_epoch == u32::MAX {
@@ -641,24 +648,28 @@ impl<'a> Podem<'a> {
         }
         let epoch = s.cone_epoch;
         s.cone_topo.clear();
+        s.cone_observed.clear();
         s.work.clear();
-        match site {
-            FaultSite::Net(n) => {
-                s.cone_net[n.index()] = epoch;
-                s.work.push(n.raw());
-            }
+        let root = match site {
+            FaultSite::Net(n) => n,
             FaultSite::Pin { gate, .. } => {
                 // The reading gate itself is the cone root: the
                 // difference is born inside it.
                 s.cone_gate[gate.index()] = epoch;
                 s.cone_topo.push(gate.raw());
-                let out = netlist.gate(gate).output;
-                s.cone_net[out.index()] = epoch;
-                s.work.push(out.raw());
+                netlist.gate(gate).output
             }
-        }
+        };
+        s.cone_net[root.index()] = epoch;
+        s.work.push(root.raw());
         let t = &self.table;
         while let Some(ni) = s.work.pop() {
+            // Every cone net is pushed exactly once, so this collects each
+            // in-cone observation point once; the detection check only
+            // asks whether any of them differs, so their order is free.
+            if self.launch.is_observed(ni as usize) {
+                s.cone_observed.push(NetId::new(ni));
+            }
             for &g in t.fanout(ni as usize) {
                 let g = g as usize;
                 if s.cone_gate[g] != epoch {
@@ -679,15 +690,6 @@ impl<'a> Podem<'a> {
         }
         s.cone_topo
             .sort_unstable_by_key(|&g| (t.gate_level(g as usize), g));
-        s.cone_by_id.clear();
-        s.cone_by_id.extend_from_slice(&s.cone_topo);
-        s.cone_by_id.sort_unstable();
-        s.cone_observed.clear();
-        for &o in self.launch.observation_points() {
-            if s.cone_net[o.index()] == epoch {
-                s.cone_observed.push(o);
-            }
-        }
         s.cone_site = Some(site);
     }
 
@@ -756,65 +758,45 @@ impl<'a> Podem<'a> {
         // Variables mutated since the last resync; only their cones need
         // re-simulation.
         let mut dirty: Vec<Var> = Vec::new();
+        let mut decisions = 0u64;
         let mut backtracks = 0u32;
-        let trace = std::env::var_os("PODEM_TRACE").is_some();
-        loop {
-            match self.objective(s, fault, site_net, v_init, v_final) {
-                Objective::Detected => return PodemOutcome::Test,
+        let outcome = loop {
+            let conflict = match self.objective(s, fault, site_net, v_init, v_final) {
+                Objective::Detected => break PodemOutcome::Test,
                 Objective::Assign(net, value, frame) => {
-                    if trace {
-                        eprintln!(
-                            "objective: {net:?}={value} in {frame:?} (stack {} bt {backtracks})",
-                            stack.len()
-                        );
-                    }
                     match self.backtrace(s, net, value, frame) {
                         Some((var, val)) => {
-                            if trace {
-                                eprintln!("  decide {var:?} = {val}");
-                            }
+                            decisions += 1;
                             self.set_var(pattern, var, val);
                             stack.push((var, val, false, s.trail.len() as u32));
                             dirty.clear();
                             dirty.push(var);
                             self.resim_dirty(fault, v_init, pattern, s, &dirty);
+                            false
                         }
-                        None => {
-                            if trace {
-                                eprintln!("  backtrace failed -> conflict");
-                            }
-                            // No unassigned input reaches the objective —
-                            // treat as a conflict.
-                            dirty.clear();
-                            if !self.backtrack(pattern, &mut stack, s, &mut dirty) {
-                                return PodemOutcome::Untestable;
-                            }
-                            backtracks += 1;
-                            if backtracks >= self.backtrack_limit {
-                                Self::restore_trail(s, 0);
-                                return PodemOutcome::Aborted;
-                            }
-                            self.resim_dirty(fault, v_init, pattern, s, &dirty);
-                        }
+                        // No unassigned input reaches the objective —
+                        // treat as a conflict.
+                        None => true,
                     }
                 }
-                Objective::Conflict => {
-                    if trace {
-                        eprintln!("conflict (stack {} bt {backtracks})", stack.len());
-                    }
-                    dirty.clear();
-                    if !self.backtrack(pattern, &mut stack, s, &mut dirty) {
-                        return PodemOutcome::Untestable;
-                    }
-                    backtracks += 1;
-                    if backtracks >= self.backtrack_limit {
-                        Self::restore_trail(s, 0);
-                        return PodemOutcome::Aborted;
-                    }
-                    self.resim_dirty(fault, v_init, pattern, s, &dirty);
+                Objective::Conflict => true,
+            };
+            if conflict {
+                dirty.clear();
+                if !self.backtrack(pattern, &mut stack, s, &mut dirty) {
+                    break PodemOutcome::Untestable;
                 }
+                backtracks += 1;
+                if backtracks >= self.backtrack_limit {
+                    Self::restore_trail(s, 0);
+                    break PodemOutcome::Aborted;
+                }
+                self.resim_dirty(fault, v_init, pattern, s, &dirty);
             }
-        }
+        };
+        scap_obs::counter!("atpg.podem.decisions").add(decisions);
+        scap_obs::counter!("atpg.podem.backtracks").add(u64::from(backtracks));
+        outcome
     }
 
     fn set_var(&self, pattern: &mut TestPattern, var: Var, value: Logic) {
@@ -885,10 +867,7 @@ impl<'a> Podem<'a> {
                 return Objective::Detected;
             }
         }
-        // 4. Drive the D-frontier. Gates outside the cone see identical
-        // good/faulty input values, so scanning the cone's gates in
-        // ascending id order visits exactly the candidates a full scan
-        // would, in the same order.
+        // 4. Drive the D-frontier.
         let t = &self.table;
         let mut best: Option<(u32, NetId, Logic)> = None;
         let mut frontier = std::mem::take(&mut s.frontier);
@@ -896,7 +875,7 @@ impl<'a> Podem<'a> {
         // For a branch (pin) fault, the injected gate is on the frontier
         // whenever its output is undetermined: its input *nets* carry no
         // good/faulty difference — the difference is born inside the gate
-        // — so the generic scan below would never see it.
+        // — so the difference walk below never reaches it.
         if let FaultSite::Pin { gate, pin } = fault.site {
             let g = gate.index();
             let out = t.output(g) as usize;
@@ -909,31 +888,13 @@ impl<'a> Podem<'a> {
                 }
             }
         }
-        for idx in 0..s.cone_by_id.len() {
-            let g = s.cone_by_id[idx] as usize;
-            let out = t.output(g) as usize;
-            let out_diff_known = s.good2[out].is_known() && s.faulty2[out].is_known();
-            if out_diff_known {
-                // Settled (no difference) or already propagated past.
-                continue;
-            }
-            // Output X in some plane: is a difference arriving?
-            let mut has_diff_input = false;
-            for &inp in t.inputs(g) {
-                let i = inp as usize;
-                let gv = s.good2[i];
-                let f = fv(s, i);
-                if gv.is_known() && f.is_known() && gv != f {
-                    has_diff_input = true;
-                    break;
-                }
-            }
-            if !has_diff_input {
-                continue;
-            }
+        self.walk_difference(fault, s);
+        let candidates = std::mem::take(&mut s.candidates);
+        for &gi in &candidates {
+            let g = gi as usize;
             // Pick an X side input and its non-controlling value.
             if let Some((pin, val)) = self.propagation_objective(s, g) {
-                frontier.push(out as u32);
+                frontier.push(t.output(g));
                 let side = t.inputs(g)[pin];
                 let key = t.net_level(side as usize); // prefer shallow side inputs
                 if best.is_none_or(|(bk, _, _)| key < bk) {
@@ -941,6 +902,9 @@ impl<'a> Podem<'a> {
                 }
             }
         }
+        s.candidates = candidates;
+        #[cfg(test)]
+        oracle::check_frontier(self, s, fault, &frontier, best);
         // X-path check: some frontier output must still reach an observed
         // capture point through not-yet-blocked (X) nets, otherwise the
         // current assignments can never detect the fault.
@@ -953,6 +917,60 @@ impl<'a> Podem<'a> {
             Some((_, net, val)) => Objective::Assign(net, val, Frame::Two),
             None => Objective::Conflict,
         }
+    }
+
+    /// Collects the D-frontier candidates into `s.candidates`: the gates
+    /// whose output is undetermined in some plane and which read a net
+    /// carrying a good/faulty difference (both values known and unequal),
+    /// in ascending gate id — the order of a whole-netlist scan, so the
+    /// objective's tie-breaks are unchanged.
+    ///
+    /// It walks the difference region from the cone root (the stem net,
+    /// or the injected gate's output), which finds every differing net: a net other than the root can
+    /// differ only if its driver reads a differing net (three-valued
+    /// evaluation is monotone, so a gate whose good and faulty inputs
+    /// admit a common binary refinement cannot produce two different
+    /// known outputs), hence each one is reached from the root through
+    /// differing nets.
+    fn walk_difference(&self, fault: TransitionFault, s: &mut PodemScratch) {
+        let t = &self.table;
+        if s.diff_epoch == u32::MAX {
+            s.diff_stamp.fill(0);
+            s.diff_epoch = 1;
+        } else {
+            s.diff_epoch += 1;
+        }
+        let epoch = s.diff_epoch;
+        s.candidates.clear();
+        s.work.clear();
+        // The root and everything the walk reaches are cone nets, so the
+        // faulty overlay holds their faulty values.
+        let differs = |s: &PodemScratch, n: usize| {
+            let (g, f) = (s.good2[n], s.faulty2[n]);
+            g.is_known() && f.is_known() && g != f
+        };
+        let root = match fault.site {
+            FaultSite::Net(n) => n.raw(),
+            FaultSite::Pin { gate, .. } => t.output(gate.index()),
+        };
+        if differs(s, root as usize) {
+            s.work.push(root);
+        }
+        while let Some(ni) = s.work.pop() {
+            for &g in t.fanout(ni as usize) {
+                if s.diff_stamp[g as usize] == epoch {
+                    continue;
+                }
+                s.diff_stamp[g as usize] = epoch;
+                let out = t.output(g as usize) as usize;
+                if !(s.good2[out].is_known() && s.faulty2[out].is_known()) {
+                    s.candidates.push(g);
+                } else if differs(s, out) {
+                    s.work.push(out as u32);
+                }
+            }
+        }
+        s.candidates.sort_unstable();
     }
 
     /// Forward reachability from the D-frontier through X-valued nets to
@@ -1227,11 +1245,97 @@ enum Objective {
     Conflict,
 }
 
+/// The whole-netlist D-frontier scan the difference walk replaced, kept
+/// as the walk's test oracle: every objective call of a test build
+/// recomputes the frontier by visiting every gate in ascending id order
+/// and asserts that the walk produced the same frontier and the same
+/// objective.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Objective calls checked on this thread, per fault-site kind:
+        /// `[stem, pin]`.
+        pub(super) static CHECKS: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    /// The scan's frontier candidates (undetermined gates reading a
+    /// differing net, ascending id), frontier output nets and best
+    /// `(level, net, value)` objective.
+    type Scan = (Vec<u32>, Vec<u32>, Option<(u32, NetId, Logic)>);
+
+    /// Computes [`Scan`] by visiting every gate.
+    fn scan(podem: &Podem<'_>, s: &PodemScratch, fault: TransitionFault) -> Scan {
+        let t = &podem.table;
+        let differs = |n: usize| {
+            let (g, f) = (s.good2[n], fv(s, n));
+            g.is_known() && f.is_known() && g != f
+        };
+        let mut candidates = Vec::new();
+        let mut frontier = Vec::new();
+        let mut best: Option<(u32, NetId, Logic)> = None;
+        if let FaultSite::Pin { gate, pin } = fault.site {
+            let g = gate.index();
+            let out = t.output(g) as usize;
+            if !(s.good2[out].is_known() && fv(s, out).is_known()) {
+                if let Some((p, val)) = podem.side_objective(s, g, pin as usize) {
+                    frontier.push(out as u32);
+                    let side = t.inputs(g)[p];
+                    best = Some((t.net_level(side as usize), NetId::new(side), val));
+                }
+            }
+        }
+        for g in 0..t.num_gates() {
+            let out = t.output(g) as usize;
+            if s.good2[out].is_known() && fv(s, out).is_known() {
+                continue;
+            }
+            if !t.inputs(g).iter().any(|&i| differs(i as usize)) {
+                continue;
+            }
+            candidates.push(g as u32);
+            if let Some((pin, val)) = podem.propagation_objective(s, g) {
+                frontier.push(out as u32);
+                let side = t.inputs(g)[pin];
+                let key = t.net_level(side as usize);
+                if best.is_none_or(|(bk, _, _)| key < bk) {
+                    best = Some((key, NetId::new(side), val));
+                }
+            }
+        }
+        (candidates, frontier, best)
+    }
+
+    /// Asserts that the walk's candidates, frontier (in push order) and
+    /// objective equal the scan's.
+    pub(super) fn check_frontier(
+        podem: &Podem<'_>,
+        s: &PodemScratch,
+        fault: TransitionFault,
+        frontier: &[u32],
+        best: Option<(u32, NetId, Logic)>,
+    ) {
+        let (want_candidates, want_frontier, want_best) = scan(podem, s, fault);
+        assert_eq!(s.candidates, want_candidates, "candidates of {fault:?}");
+        assert_eq!(frontier, &want_frontier[..], "D-frontier of {fault:?}");
+        assert_eq!(best, want_best, "objective of {fault:?}");
+        let kind = usize::from(matches!(fault.site, FaultSite::Pin { .. }));
+        CHECKS.with(|c| {
+            let mut v = c.get();
+            v[kind] += 1;
+            c.set(v);
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use scap_dft::{FillPolicy, PatternBatch};
-    use scap_netlist::{ClockEdge, NetlistBuilder};
+    use scap_netlist::{ClockEdge, FlopId, NetlistBuilder, ScanRole};
     use scap_sim::{FaultList, Polarity, TransitionFaultSim};
 
     /// Small but non-trivial: 4 flops, AND/XOR logic, one observation.
@@ -1396,5 +1500,172 @@ mod tests {
             }
         }
         assert!(merged >= 2, "compaction should merge at least two faults");
+    }
+
+    /// A random acyclic netlist over every cell kind, with primary
+    /// inputs, reconvergence, a flop outside the active clock domain
+    /// (a `Hold` source under launch-off-capture) and one scan chain
+    /// over all flops (`LoadOf` / `ScanIn` sources under launch-off-shift).
+    fn random_netlist(seed: u64, n_gates: usize) -> Netlist {
+        use rand::{Rng, SeedableRng};
+        const KINDS: [CellKind; 15] = [
+            CellKind::Buf,
+            CellKind::Inv,
+            CellKind::And2,
+            CellKind::And3,
+            CellKind::Nand2,
+            CellKind::Nand3,
+            CellKind::Or2,
+            CellKind::Or3,
+            CellKind::Nor2,
+            CellKind::Nor3,
+            CellKind::Xor2,
+            CellKind::Xnor2,
+            CellKind::Mux2,
+            CellKind::Aoi22,
+            CellKind::Oai22,
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut b = NetlistBuilder::new("frontier");
+        let blk = b.add_block("B1");
+        let clka = b.add_clock_domain("clka", 100e6);
+        let clkb = b.add_clock_domain("clkb", 50e6);
+        let n_ff = rng.gen_range(3..7);
+        let mut pool = vec![b.add_primary_input("pi0"), b.add_primary_input("pi1")];
+        let qs: Vec<NetId> = (0..n_ff).map(|i| b.add_net(format!("q{i}"))).collect();
+        pool.extend(qs.iter().copied());
+        let mut outs = Vec::new();
+        for i in 0..n_gates {
+            // Every kind first, so each netlist has all of them.
+            let kind = match KINDS.get(i) {
+                Some(&k) => k,
+                None => KINDS[rng.gen_range(0..KINDS.len())],
+            };
+            let ins: Vec<NetId> = (0..kind.num_inputs())
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
+            let y = b.add_net(format!("w{i}"));
+            b.add_gate(kind, &ins, y, blk).unwrap();
+            pool.push(y);
+            outs.push(y);
+        }
+        for (i, &q) in qs.iter().enumerate() {
+            // Most flops capture late gate outputs, which keeps the cones
+            // deep; the last one sits in the inactive domain.
+            let lo = outs.len() / 2;
+            let d = outs[rng.gen_range(lo..outs.len())];
+            let clk = if i + 1 == qs.len() { clkb } else { clka };
+            b.add_flop(format!("ff{i}"), d, q, clk, ClockEdge::Rising, blk)
+                .unwrap();
+        }
+        let mut n = b.finish().unwrap();
+        for i in 0..n_ff {
+            n.set_scan_role(
+                FlopId::new(i as u32),
+                ScanRole {
+                    chain: 0,
+                    position: i as u32,
+                },
+            );
+        }
+        n
+    }
+
+    /// Runs PODEM over every fault of `n` in both launch modes, as
+    /// primary runs (fresh pattern per fault), as secondary runs (one
+    /// pattern greedily extended, as dynamic compaction does) and under
+    /// random pre-assigned care bits. Every objective call on the way
+    /// asserts the difference walk against the whole-netlist scan.
+    /// Returns the number of checked calls per fault-site kind and mode,
+    /// `[capture stem, capture pin, shift stem, shift pin]`.
+    fn drive_frontier_oracle(n: &Netlist, seed: u64) -> [u64; 4] {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let faults = FaultList::full(n);
+        let mut counts = [0u64; 4];
+        for (m, mode) in [LaunchMode::Capture, LaunchMode::Shift]
+            .into_iter()
+            .enumerate()
+        {
+            let before = oracle::CHECKS.with(|c| c.get());
+            // A small backtrack limit makes some runs abort mid-search.
+            let podem = Podem::with_mode(n, ClockId::new(0), mode, 24);
+            let mut scratch = PodemScratch::new();
+            let mut compacted = TestPattern::unspecified(n);
+            for &fault in faults.faults() {
+                let mut fresh = TestPattern::unspecified(n);
+                podem.generate_with_scratch(fault, &mut fresh, &mut scratch);
+                podem.generate_with_scratch(fault, &mut compacted, &mut scratch);
+                let mut constrained = TestPattern::unspecified(n);
+                for v in constrained.load.iter_mut().chain(&mut constrained.pi) {
+                    if rng.gen_bool(0.3) {
+                        *v = Logic::from_bool(rng.gen());
+                    }
+                }
+                podem.generate_with_scratch(fault, &mut constrained, &mut scratch);
+            }
+            let after = oracle::CHECKS.with(|c| c.get());
+            counts[2 * m] = after[0] - before[0];
+            counts[2 * m + 1] = after[1] - before[1];
+        }
+        counts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// At every objective call the difference walk yields the same
+        /// D-frontier and the same `(level, net, value)` objective as the
+        /// whole-netlist scan (asserted inside `objective` in test builds).
+        #[test]
+        fn difference_walk_matches_whole_netlist_scan(
+            seed in any::<u64>(),
+            n_gates in 15usize..48,
+        ) {
+            let n = random_netlist(seed, n_gates);
+            let counts = drive_frontier_oracle(&n, seed ^ 0x5eed);
+            prop_assert!(counts.iter().sum::<u64>() > 0, "no objective call reached the frontier");
+        }
+    }
+
+    /// The oracle sees stem and pin faults in both launch modes.
+    #[test]
+    fn frontier_oracle_covers_stem_and_pin_faults_in_both_modes() {
+        let mut total = [0u64; 4];
+        for seed in 0..8 {
+            let counts = drive_frontier_oracle(&random_netlist(seed, 30), seed);
+            for (t, c) in total.iter_mut().zip(counts) {
+                *t += c;
+            }
+        }
+        assert!(
+            total.iter().all(|&c| c > 0),
+            "[capture stem, capture pin, shift stem, shift pin] = {total:?}"
+        );
+    }
+
+    /// The search counters: every backtrack flips a distinct decision, so
+    /// a run never reports more backtracks than decisions.
+    #[test]
+    fn search_counters_count_decisions_and_backtracks() {
+        let n = mini();
+        let podem = Podem::new(&n, ClockId::new(0), 200);
+        scap_obs::set_enabled(true);
+        let before = scap_obs::snapshot();
+        for &fault in FaultList::full(&n).faults() {
+            podem.generate(fault, &mut TestPattern::unspecified(&n));
+        }
+        let after = scap_obs::snapshot();
+        let delta =
+            |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+        let (decisions, backtracks) = (
+            delta("atpg.podem.decisions"),
+            delta("atpg.podem.backtracks"),
+        );
+        assert!(decisions > 0, "no decisions counted");
+        assert!(
+            backtracks <= decisions,
+            "{backtracks} backtracks > {decisions} decisions"
+        );
     }
 }

@@ -21,15 +21,34 @@
 //! named, defaulted and validated by the same function. Every flag is
 //! checked before anything is built: an unknown flag or a bad value
 //! returns `ExitCode::from(2)` with the server's message (destructors
-//! run; nothing calls `process::exit`).
+//! run; nothing calls `process::exit`). A reader that closes stdout
+//! early (`scap sta --paths 50 | head -2`) ends the command quietly with
+//! exit 0.
 
 use scap::{ablation, compact_patterns, experiments, flows, CaseStudy};
 use scap_serve::handlers::{
     reject_unknown, CommonParams, DesignParams, FlowParams, LintParams, ScheduleParams, StaParams,
 };
 use scap_serve::params::Args;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// `println!` that hands a failed write back to the enclosing command
+/// (which returns `io::Result<ExitCode>`) instead of panicking: a closed
+/// pipe (`scap … | head`) then ends the command early and quietly.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*)?
+    };
+}
+
+/// `print!` counterpart of [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(io::stdout(), $($arg)*)?
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -241,7 +260,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match command {
+    let result = match command {
         Command::Generate(p, verilog) => generate(&p.common, verilog.as_deref()),
         Command::Atpg(common, flow, stil, compact) => {
             atpg(&common, &flow, stil.as_deref(), compact)
@@ -255,7 +274,16 @@ fn main() -> ExitCode {
         Command::Serve(cfg) => serve(cfg),
         Command::Cluster(cfg) => cluster(cfg),
         Command::Evaluate(common) => evaluate(&common),
-        Command::Usage => usage(),
+        Command::Usage => Ok(usage()),
+    };
+    match result {
+        Ok(code) => code,
+        // The reader went away (`scap … | head`): nobody wants the rest.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -263,26 +291,31 @@ fn build_study(common: &CommonParams) -> CaseStudy {
     CaseStudy::with_seed(common.scale, common.seed)
 }
 
-fn generate(common: &CommonParams, verilog: Option<&str>) -> ExitCode {
+fn generate(common: &CommonParams, verilog: Option<&str>) -> io::Result<ExitCode> {
     let study = build_study(common);
     let report = experiments::table1(&study);
-    println!("{}", experiments::render_table1(&report));
-    println!("{}", experiments::render_table2(&report));
+    outln!("{}", experiments::render_table1(&report));
+    outln!("{}", experiments::render_table2(&report));
     if let Some(path) = verilog {
         let text = scap::netlist::verilog::to_verilog(&study.design.netlist);
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn atpg(common: &CommonParams, p: &FlowParams, stil: Option<&str>, compact: bool) -> ExitCode {
+fn atpg(
+    common: &CommonParams,
+    p: &FlowParams,
+    stil: Option<&str>,
+    compact: bool,
+) -> io::Result<ExitCode> {
     let study = build_study(common);
     let mut flow = p.run(&study);
-    println!(
+    outln!(
         "{} patterns, {:.2} % fault coverage",
         flow.patterns.len(),
         100.0 * flow.fault_coverage()
@@ -294,25 +327,25 @@ fn atpg(common: &CommonParams, p: &FlowParams, stil: Option<&str>, compact: bool
             &flow.faults,
             &flow.patterns,
         );
-        println!(
+        outln!(
             "static compaction: {} -> {} patterns",
             flow.patterns.len(),
             kept.len()
         );
-        flow.patterns = compacted;
+        flow.replace_patterns(compacted);
     }
     if let Some(path) = stil {
         let text = scap::dft::export::to_stil(&study.design.netlist, &flow.patterns);
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn profile(common: &CommonParams, p: &FlowParams, metrics: bool) -> ExitCode {
+fn profile(common: &CommonParams, p: &FlowParams, metrics: bool) -> io::Result<ExitCode> {
     // Collection is enabled *before* the run so the breakdown covers
     // design build, ATPG, grading and SCAP measurement alike.
     if metrics {
@@ -322,24 +355,24 @@ fn profile(common: &CommonParams, p: &FlowParams, metrics: bool) -> ExitCode {
     let flow = p.run(&study);
     let Some(b5) = study.design.block_named("B5") else {
         eprintln!("error: the generated design has no block named 'B5' to profile");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let Some(&threshold) = experiments::scap_thresholds(&study).get(b5.index()) else {
         eprintln!("error: no screening threshold for block 'B5'");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let series = experiments::scap_series(&study, &flow, b5, threshold);
-    println!(
+    outln!(
         "{}",
         experiments::render_scap_series("B5 SCAP profile", &series)
     );
     let sweep = ablation::threshold_sensitivity(&study, &flow, &[0.5, 1.0, 2.0]);
     for (f, above) in sweep {
-        println!("threshold x{f}: {above} patterns above");
+        outln!("threshold x{f}: {above} patterns above");
     }
     if metrics {
         let snap = scap_obs::snapshot();
-        println!("\n{}", scap_obs::render(&snap));
+        outln!("\n{}", scap_obs::render(&snap));
         // Lane utilization of the word-packed fault-sim kernel: how full
         // the 64-pattern blocks actually were (ATPG drop-simulation runs
         // one-lane blocks; grading runs full ones).
@@ -347,38 +380,38 @@ fn profile(common: &CommonParams, p: &FlowParams, metrics: bool) -> ExitCode {
             snap.counter("sim.block_evals").filter(|&b| b > 0),
             snap.counter("sim.patterns_per_block"),
         ) {
-            println!(
+            outln!(
                 "block kernel utilization: {:.1}% ({patterns} patterns over {blocks} blocks of 64 lanes)",
                 patterns as f64 / (64 * blocks) as f64 * 100.0
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn schedule_cmd(p: &ScheduleParams) -> ExitCode {
+fn schedule_cmd(p: &ScheduleParams) -> io::Result<ExitCode> {
     let study = build_study(&p.common);
     let (budget, serial, plan) = p.plan(&study);
-    println!("budget {budget:.2} mW | serial length {serial} patterns");
+    outln!("budget {budget:.2} mW | serial length {serial} patterns");
     for (i, s) in plan.sessions.iter().enumerate() {
         let names: Vec<String> = s
             .members
             .iter()
             .map(|m| study.design.netlist.block(m.block).name.clone())
             .collect();
-        println!(
+        outln!(
             "session {i}: {:<18} {:>7.2} mW  {:>6} patterns",
             names.join("+"),
             s.power_mw(),
             s.length()
         );
     }
-    println!(
+    outln!(
         "scheduled length {} patterns ({:.0} % of serial)",
         plan.total_length(),
         100.0 * plan.total_length() as f64 / serial.max(1) as f64
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `scap lint` — runs the full design-rule registry against the generated
@@ -389,47 +422,54 @@ fn schedule_cmd(p: &ScheduleParams) -> ExitCode {
 /// Exit codes: 0 clean, 1 findings at or above the deny level (errors, or
 /// warnings too under `--deny warn`), 2 usage error (an `--only` prefix
 /// matching no rule is one, caught in [`parse`]).
-fn lint(common: &CommonParams, json: bool, deny_warn: bool, only: Option<&str>) -> ExitCode {
+fn lint(
+    common: &CommonParams,
+    json: bool,
+    deny_warn: bool,
+    only: Option<&str>,
+) -> io::Result<ExitCode> {
     let study = build_study(common);
     let report = match only {
         Some(prefix) => scap_serve::lint_report_with(&study, scap_lint::rules_matching(prefix)),
         None => scap_serve::lint_report(&study),
     };
     if json {
-        println!("{}", report.render_json_pretty());
+        outln!("{}", report.render_json_pretty());
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
-    if report.errors() > 0 || (deny_warn && report.warnings() > 0) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(
+        if report.errors() > 0 || (deny_warn && report.warnings() > 0) {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        },
+    )
 }
 
 /// `scap serve` — boots the resident HTTP JSON API and blocks until a
 /// `POST /v1/shutdown` drains it; the final metrics snapshot is printed
 /// on the way out. See `docs/SERVER.md` for the endpoint reference.
-fn serve(cfg: scap_serve::ServeConfig) -> ExitCode {
+fn serve(cfg: scap_serve::ServeConfig) -> io::Result<ExitCode> {
     let server = match scap_serve::Server::bind(cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: cannot bind: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     // The exact line check.sh and tooling parse for the (possibly
     // ephemeral) port — keep the format stable.
-    println!("scap serve listening on http://{}", server.local_addr());
+    outln!("scap serve listening on http://{}", server.local_addr());
     match server.run() {
         Ok(snapshot) => {
-            println!("scap serve drained; final metrics:");
-            print!("{}", scap_obs::render(&snapshot));
-            ExitCode::SUCCESS
+            outln!("scap serve drained; final metrics:");
+            out!("{}", scap_obs::render(&snapshot));
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("error: serve failed: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -439,12 +479,12 @@ fn serve(cfg: scap_serve::ServeConfig) -> ExitCode {
 /// running `scap serve` on ephemeral ports and routing requests by
 /// consistent hashing on `(scale, seed)`. Blocks until
 /// `POST /v1/shutdown` drains coordinator and fleet alike.
-fn cluster(mut cfg: scap_cluster::ClusterConfig) -> ExitCode {
+fn cluster(mut cfg: scap_cluster::ClusterConfig) -> io::Result<ExitCode> {
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: cannot resolve own executable for worker spawning: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     cfg.worker_command
@@ -453,18 +493,18 @@ fn cluster(mut cfg: scap_cluster::ClusterConfig) -> ExitCode {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: cannot launch cluster: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     // Stable lines check.sh and tooling parse: the coordinator address
     // first, then one line per worker with pid and address.
-    println!(
+    outln!(
         "scap cluster listening on http://{} ({} workers)",
         coordinator.local_addr(),
         coordinator.worker_infos().len()
     );
     for w in coordinator.worker_infos() {
-        println!(
+        outln!(
             "scap cluster worker {} pid {} http://{}",
             w.index,
             w.pid,
@@ -475,54 +515,54 @@ fn cluster(mut cfg: scap_cluster::ClusterConfig) -> ExitCode {
     }
     match coordinator.run() {
         Ok(snapshot) => {
-            println!("scap cluster drained; final metrics:");
-            print!("{}", scap_obs::render(&snapshot));
-            ExitCode::SUCCESS
+            outln!("scap cluster drained; final metrics:");
+            out!("{}", scap_obs::render(&snapshot));
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("error: cluster failed: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn evaluate(common: &CommonParams) -> ExitCode {
+fn evaluate(common: &CommonParams) -> io::Result<ExitCode> {
     let study = build_study(common);
     let report = experiments::table1(&study);
-    println!("{}", experiments::render_table1(&report));
+    outln!("{}", experiments::render_table1(&report));
     let t3 = experiments::table3(&study);
-    println!("{}", experiments::render_table3(&study, &t3));
+    outln!("{}", experiments::render_table3(&study, &t3));
     let conv = flows::conventional(&study);
     let na = flows::noise_aware(&study);
-    println!(
+    outln!(
         "{}",
         experiments::render_table4(&experiments::table4(&study, &conv))
     );
-    println!(
+    outln!(
         "{}",
         experiments::render_scap_series("Figure 2", &experiments::fig2(&study, &conv))
     );
-    println!(
+    outln!(
         "{}",
         experiments::render_scap_series("Figure 6", &experiments::fig6(&study, &na))
     );
-    println!(
+    outln!(
         "{}",
         experiments::render_fig3(&study, &experiments::fig3(&study, &conv))
     );
-    println!("{}", experiments::render_fig4(&conv, &na));
-    println!(
+    outln!("{}", experiments::render_fig4(&conv, &na));
+    outln!(
         "{}",
         experiments::render_fig7(&experiments::fig7(&study, &na))
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `scap sta` — per-endpoint slack analysis of the generated design:
 /// nominal by default, with `--derate` adding the IR-drop-derated pass
 /// (worst-case regional droop mapped through the delay model) plus the
 /// fault risk-tier histogram ATPG prioritization consumes.
-fn sta(params: &StaParams, metrics: bool) -> ExitCode {
+fn sta(params: &StaParams, metrics: bool) -> io::Result<ExitCode> {
     use scap::sta::NoiseAwareSta;
     use scap::timing::{RiskTier, SlackSta};
 
@@ -534,19 +574,19 @@ fn sta(params: &StaParams, metrics: bool) -> ExitCode {
     let k = params.k;
     if params.derate {
         let sta = NoiseAwareSta::with_derate(&study, k);
-        println!(
+        outln!(
             "cycle {:.0} ps | nominal: critical path {:.0} ps, worst slack {:.0} ps",
             study.period_ps(),
             sta.nominal.critical_path_ps(),
             sta.nominal.worst_slack_ps().unwrap_or(0.0),
         );
-        println!(
+        outln!(
             "derated (k x{k}): critical path {:.0} ps, worst slack {:.0} ps",
             sta.derated.critical_path_ps(),
             sta.derated.worst_slack_ps().unwrap_or(0.0),
         );
         for (flop, nom, der) in sta.endpoint_slacks() {
-            println!(
+            outln!(
                 "endpoint {:<12} nominal {:>8.0} ps  derated {:>8.0} ps  {}",
                 n.flop(flop).name,
                 nom,
@@ -560,9 +600,9 @@ fn sta(params: &StaParams, metrics: bool) -> ExitCode {
             .iter()
             .map(|(t, c)| format!("{} {}", t.label(), c))
             .collect();
-        println!("fault risk tiers: {}", parts.join(" | "));
+        outln!("fault risk tiers: {}", parts.join(" | "));
         for (i, p) in sta.derated.worst_paths(n, params.paths).iter().enumerate() {
-            println!(
+            outln!(
                 "derated path {i}: endpoint {} arrival {:.0} ps slack {:.0} ps depth {}",
                 n.flop(p.endpoint).name,
                 p.data_arrival_ps,
@@ -572,14 +612,14 @@ fn sta(params: &StaParams, metrics: bool) -> ExitCode {
         }
     } else {
         let sta = SlackSta::run(n, &study.annotation, &study.arrivals);
-        println!(
+        outln!(
             "cycle {:.0} ps | critical path {:.0} ps, worst slack {:.0} ps",
             study.period_ps(),
             sta.critical_path_ps(),
             sta.worst_slack_ps().unwrap_or(0.0),
         );
         for e in sta.endpoints() {
-            println!(
+            outln!(
                 "endpoint {:<12} slack {:>8.0} ps",
                 n.flop(e.flop).name,
                 e.slack_ps()
@@ -587,13 +627,13 @@ fn sta(params: &StaParams, metrics: bool) -> ExitCode {
         }
         let unreachable = sta.unreachable_endpoints(n);
         if !unreachable.is_empty() {
-            println!(
+            outln!(
                 "{} endpoint(s) unreachable from any launch",
                 unreachable.len()
             );
         }
         for (i, p) in sta.worst_paths(n, params.paths).iter().enumerate() {
-            println!(
+            outln!(
                 "path {i}: endpoint {} arrival {:.0} ps slack {:.0} ps depth {}",
                 n.flop(p.endpoint).name,
                 p.data_arrival_ps,
@@ -603,9 +643,9 @@ fn sta(params: &StaParams, metrics: bool) -> ExitCode {
         }
     }
     if metrics {
-        println!("\n{}", scap_obs::render(&scap_obs::snapshot()));
+        outln!("\n{}", scap_obs::render(&scap_obs::snapshot()));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -815,7 +855,7 @@ mod tests {
         }
         for line in [
             "serve --addr 127.0.0.1:0 --workers 2 --queue-depth 8",
-            "cluster --port 0 --workers 2 --probe-ms 2000",
+            "cluster --port 0 --workers 2 --probe-ms 600000",
         ] {
             assert!(parse_line(line).is_ok(), "{line}");
         }

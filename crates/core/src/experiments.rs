@@ -153,7 +153,7 @@ pub fn table4(study: &CaseStudy, conventional: &FlowResult) -> Table4 {
     let analyzer = PatternAnalyzer::new(study);
     // Representative pattern: the highest chip SCAP (the kind of pattern
     // CAP-based screening would wave through).
-    let profile = analyzer.power_profile(&conventional.patterns);
+    let profile = conventional.power_profile(study);
     let idx = argmax(profile.iter().map(|p| p.chip_scap_vdd_mw()));
     let filled = &conventional.patterns.filled[idx];
     let trace = analyzer.trace(filled);
@@ -241,8 +241,7 @@ pub fn scap_series(
     block: BlockId,
     threshold_mw: f64,
 ) -> ScapSeries {
-    let analyzer = PatternAnalyzer::new(study);
-    let profile = analyzer.power_profile(&flow.patterns);
+    let profile = flow.power_profile(study);
     let scap_mw: Vec<f64> = profile.iter().map(|p| p.scap_vdd_mw(block)).collect();
     let above: Vec<usize> = scap_mw
         .iter()
@@ -594,7 +593,7 @@ pub fn corner_comparison(study: &CaseStudy, flow: &FlowResult) -> CornerComparis
     use scap_timing::scaling::{at_corner, Corner};
     let analyzer = PatternAnalyzer::new(study);
     // Hot pattern: the one Table 4 would pick.
-    let profile = analyzer.power_profile(&flow.patterns);
+    let profile = flow.power_profile(study);
     let idx = argmax(profile.iter().map(|p| p.chip_scap_vdd_mw()));
     let filled = &flow.patterns.filled[idx];
     let nominal = analyzer.endpoint_delays(filled);

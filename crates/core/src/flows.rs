@@ -10,16 +10,20 @@
 //!   every don't-care, so whichever blocks are not being targeted stay
 //!   quiet. Costs a few percent more patterns, slashes per-pattern SCAP.
 
-use crate::{grade_patterns, CaseStudy, GradeResult};
+use crate::{grade_patterns, CaseStudy, GradeResult, PatternAnalyzer};
 use scap_dft::{FillPolicy, PatternSet};
 use scap_netlist::BlockId;
+use scap_power::PatternPower;
 use scap_sim::FaultList;
 use scap_tgen::{AtpgConfig, EngineKind, FaultStatus, Generator};
+use std::sync::OnceLock;
 
 /// Result of one flow.
 #[derive(Clone, Debug)]
 pub struct FlowResult {
-    /// All generated patterns, in application order.
+    /// All generated patterns, in application order. Replace them
+    /// through [`FlowResult::replace_patterns`], which also drops the
+    /// cached power profile.
     pub patterns: PatternSet,
     /// `(step label, first pattern index of the step)`.
     pub steps: Vec<(String, usize)>,
@@ -27,12 +31,60 @@ pub struct FlowResult {
     pub grade: GradeResult,
     /// The fault universe used for grading.
     pub faults: FaultList,
+    /// Per-pattern CAP/SCAP of `patterns`, filled on first use.
+    profile: OnceLock<Vec<PatternPower>>,
 }
 
 impl FlowResult {
+    fn new(
+        patterns: PatternSet,
+        steps: Vec<(String, usize)>,
+        grade: GradeResult,
+        faults: FaultList,
+    ) -> Self {
+        FlowResult {
+            patterns,
+            steps,
+            grade,
+            faults,
+            profile: OnceLock::new(),
+        }
+    }
+
     /// Final fault coverage.
     pub fn fault_coverage(&self) -> f64 {
         self.grade.fault_coverage()
+    }
+
+    /// The per-pattern CAP/SCAP profile of the flow's patterns on
+    /// `study`, the case study the flow ran on:
+    /// [`PatternAnalyzer::power_profile`], computed on the first call and
+    /// shared by every later one (Figures 2/3 and Table 4 read the
+    /// conventional flow's, Figures 6/7 the noise-aware one's).
+    ///
+    /// # Panics
+    ///
+    /// If `patterns` was reassigned to a set of another size after the
+    /// profile was computed; use [`FlowResult::replace_patterns`].
+    pub fn power_profile(&self, study: &CaseStudy) -> &[PatternPower] {
+        let profile = self
+            .profile
+            .get_or_init(|| PatternAnalyzer::new(study).power_profile(&self.patterns));
+        assert_eq!(
+            profile.len(),
+            self.patterns.len(),
+            "FlowResult::patterns changed behind the cached power profile"
+        );
+        profile
+    }
+
+    /// Replaces the pattern set (e.g. by its static compaction) and drops
+    /// the cached power profile, so the next
+    /// [`FlowResult::power_profile`] measures the new set. `grade` and
+    /// `steps` still describe the set the flow generated.
+    pub fn replace_patterns(&mut self, patterns: PatternSet) {
+        self.patterns = patterns;
+        self.profile = OnceLock::new();
     }
 }
 
@@ -70,12 +122,12 @@ pub fn conventional_with(study: &CaseStudy, config: AtpgConfig) -> FlowResult {
     scap_obs::counter!("flow.stages").incr();
     scap_obs::counter!("flow.patterns_generated").add(run.patterns.len() as u64);
     let grade = grade_patterns(n, clka, &faults, &run.patterns);
-    FlowResult {
-        steps: vec![("all blocks".to_owned(), 0)],
-        patterns: run.patterns,
+    FlowResult::new(
+        run.patterns,
+        vec![("all blocks".to_owned(), 0)],
         grade,
         faults,
-    }
+    )
 }
 
 /// The paper's staged steps for the Turbo-Eagle floorplan.
@@ -155,12 +207,7 @@ pub fn noise_aware_with(
         patterns.extend(run.patterns);
     }
     let grade = grade_patterns(n, clka, &full, &patterns);
-    FlowResult {
-        patterns,
-        steps,
-        grade,
-        faults: full,
-    }
+    FlowResult::new(patterns, steps, grade, full)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! so the trade-off can be explored with the SCAP numbers this crate
 //! already produces.
 
-use crate::{CaseStudy, PatternAnalyzer};
+use crate::CaseStudy;
 use scap_netlist::BlockId;
 
 /// One block's test requirements.
@@ -99,8 +99,7 @@ pub fn serial_length(tests: &[BlockTest]) -> usize {
 /// the staged steps (or uniform for a flat flow) and power from the mean
 /// block SCAP over the flow's patterns.
 pub fn block_tests_from_flow(study: &CaseStudy, flow: &crate::flows::FlowResult) -> Vec<BlockTest> {
-    let analyzer = PatternAnalyzer::new(study);
-    let profile = analyzer.power_profile(&flow.patterns);
+    let profile = flow.power_profile(study);
     let n_blocks = study.design.netlist.blocks().len();
     (0..n_blocks)
         .map(|b| {

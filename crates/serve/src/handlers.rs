@@ -11,7 +11,7 @@ use crate::http::Response;
 use crate::params::Args;
 use scap::dft::FillPolicy;
 use scap::tgen::EngineKind;
-use scap::{experiments, flows, schedule, CaseStudy, PatternAnalyzer};
+use scap::{experiments, flows, schedule, CaseStudy};
 use scap_obs::json::{Arr, Obj};
 
 /// Which ATPG flow a request asks for.
@@ -275,7 +275,7 @@ pub fn lint_report_with(
     // every pattern and declare the within-threshold ones as emitted; the
     // PAT003 rule then re-checks the declaration against the measurements.
     let thresholds = experiments::scap_thresholds(study);
-    let profile = PatternAnalyzer::new(study).power_profile(&flow.patterns);
+    let profile = flow.power_profile(study);
     let num_blocks = study.design.netlist.blocks().len();
     let pattern_block_mw: Vec<Vec<f64>> = profile
         .iter()

@@ -43,7 +43,7 @@ fn main() {
 
     // Worst pattern's IR-drop map.
     let analyzer = PatternAnalyzer::new(&study);
-    let profile = analyzer.power_profile(&conventional.patterns);
+    let profile = conventional.power_profile(&study);
     let worst = profile
         .iter()
         .enumerate()
